@@ -1,0 +1,66 @@
+"""Exact computer algebra for twisted projecting operators on graded
+bialgebras and for the Hopf algebra their basis keys span.
+
+The working pieces:
+
+- :mod:`pnsym.combinatorics` — compositions, permutations, key reduction,
+  contingency tables, and the permutation calculus behind composed operators.
+- :mod:`pnsym.core` — the Hopf algebra itself: both products, coproduct,
+  antipode, rank, and the bridge to the subalgebra with forgotten twists.
+- :mod:`pnsym.oracle` — free models on which every operator is evaluated
+  from first principles.
+- :mod:`pnsym.checker` — an expression language for operator identities with
+  exact degree-wise zero testing.
+- :mod:`pnsym.verify` — the brute-force driver re-checking every structural
+  identity on the models.
+"""
+
+from .core import (
+    PnsymElement,
+    PnsymTensor,
+    ZERO,
+    UNIT,
+    antipode,
+    basis,
+    coproduct,
+    counit,
+    degree_component,
+    external_mul,
+    format_element,
+    format_tensor,
+    from_nsym,
+    from_weak_term,
+    internal_mul,
+    nsym_internal_mul,
+    parse_element,
+    rank,
+    to_nsym,
+)
+from .combinatorics import ParseError, reduce_pair
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "PnsymElement",
+    "PnsymTensor",
+    "ZERO",
+    "UNIT",
+    "antipode",
+    "basis",
+    "coproduct",
+    "counit",
+    "degree_component",
+    "external_mul",
+    "format_element",
+    "format_tensor",
+    "from_nsym",
+    "from_weak_term",
+    "internal_mul",
+    "nsym_internal_mul",
+    "parse_element",
+    "rank",
+    "to_nsym",
+    "ParseError",
+    "reduce_pair",
+    "__version__",
+]

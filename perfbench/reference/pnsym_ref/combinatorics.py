@@ -1,0 +1,353 @@
+"""Weak compositions, permutations, and the combinatorial maps between them.
+
+Conventions used throughout the package:
+
+* a weak composition is a tuple of nonnegative ints (a composition has all
+  entries positive);
+* a permutation is a tuple in one-line notation, 1-indexed: ``p[i-1]`` is the
+  image of ``i``;
+* a mopiscotion is a pair ``(alpha, sigma)`` of a composition and a
+  permutation of the same length.  A weak mopiscotion allows zero entries in
+  ``alpha``; :func:`reduce_pair` turns one into its canonical mopiscotion.
+
+Everything here is a pure function on immutable tuples.
+"""
+
+import itertools
+
+
+# ---------------------------------------------------------------------------
+# weak compositions
+
+
+def size(alpha):
+    """Sum of the entries of a weak composition."""
+    return sum(alpha)
+
+
+def concat(alpha, beta):
+    """Concatenation of two weak compositions."""
+    return tuple(alpha) + tuple(beta)
+
+
+def is_weak_composition(alpha):
+    return all(isinstance(a, int) and a >= 0 for a in alpha)
+
+
+def is_composition(alpha):
+    return all(isinstance(a, int) and a >= 1 for a in alpha)
+
+
+def compositions(n, length=None):
+    """All compositions of ``n`` (entries >= 1), optionally of fixed length.
+
+    Yielded in lexicographic order for each length, shortest first when
+    ``length`` is None.
+    """
+    if length is not None:
+        if n == 0:
+            if length == 0:
+                yield ()
+            return
+        if length == 0:
+            return
+        for first in range(1, n - length + 2):
+            for rest in compositions(n - first, length - 1):
+                yield (first,) + rest
+        return
+    for k in range(0, n + 1):
+        yield from compositions(n, k)
+
+
+def weak_compositions(n, length):
+    """All weak compositions of ``n`` into exactly ``length`` parts."""
+    if length == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(0, n + 1):
+        for rest in weak_compositions(n - first, length - 1):
+            yield (first,) + rest
+
+
+def entrywise_splittings(alpha):
+    """All pairs of weak compositions (beta, gamma) with beta + gamma = alpha
+    entrywise (same length as alpha)."""
+    if not alpha:
+        yield (), ()
+        return
+    first = alpha[0]
+    for b0 in range(first + 1):
+        for beta, gamma in entrywise_splittings(alpha[1:]):
+            yield (b0,) + beta, (first - b0,) + gamma
+
+
+# ---------------------------------------------------------------------------
+# permutations (one-line notation, 1-indexed)
+
+
+def is_permutation(p):
+    return sorted(p) == list(range(1, len(p) + 1))
+
+
+def identity(k):
+    return tuple(range(1, k + 1))
+
+
+def compose(p, q):
+    """(p o q)(x) = p(q(x)); requires equal lengths."""
+    if len(p) != len(q):
+        raise ValueError("cannot compose permutations of different degrees")
+    return tuple(p[q[x] - 1] for x in range(len(p)))
+
+
+def inverse(p):
+    inv = [0] * len(p)
+    for i, v in enumerate(p, 1):
+        inv[v - 1] = i
+    return tuple(inv)
+
+
+def direct_sum(sigma, tau):
+    """Permutation acting as sigma on 1..k and as a shifted tau on k+1..k+l."""
+    k = len(sigma)
+    return tuple(sigma) + tuple(k + t for t in tau)
+
+
+def wreath_substitute(tau, sigma):
+    """The permutation of [k*l] sending l*(i-1)+j to k*(tau(j)-1)+sigma(i).
+
+    Here ``sigma`` has degree k and ``tau`` degree l.  This is the
+    permutation attached to a composition of twisted operators; it satisfies
+    ``interleave_power(tau,k) o inverse(zolotarev(k,l)) o block_power(sigma,l)
+    == wreath_substitute(tau, sigma)``.
+    """
+    k, l = len(sigma), len(tau)
+    res = [0] * (k * l)
+    for i in range(1, k + 1):
+        for j in range(1, l + 1):
+            res[l * (i - 1) + j - 1] = k * (tau[j - 1] - 1) + sigma[i - 1]
+    return tuple(res)
+
+
+def zolotarev(k, l):
+    """The shuffle of [k*l] sending k*(j-1)+i to l*(i-1)+j.
+
+    Interchanges the row-major and column-major readings of a k x l grid.
+    """
+    res = [0] * (k * l)
+    for i in range(1, k + 1):
+        for j in range(1, l + 1):
+            res[k * (j - 1) + i - 1] = l * (i - 1) + j
+    return tuple(res)
+
+
+def block_power(sigma, l):
+    """The permutation of [k*l] sending l*(i-1)+j to l*(sigma(i)-1)+j.
+
+    Moves around l-sized blocks the way ``sigma`` moves single points.
+    """
+    k = len(sigma)
+    res = [0] * (k * l)
+    for i in range(1, k + 1):
+        for j in range(1, l + 1):
+            res[l * (i - 1) + j - 1] = l * (sigma[i - 1] - 1) + j
+    return tuple(res)
+
+
+def interleave_power(tau, k):
+    """The permutation of [k*l] sending k*(j-1)+i to k*(tau(j)-1)+i."""
+    l = len(tau)
+    res = [0] * (k * l)
+    for i in range(1, k + 1):
+        for j in range(1, l + 1):
+            res[k * (j - 1) + i - 1] = k * (tau[j - 1] - 1) + i
+    return tuple(res)
+
+
+def act_right(gamma, pi):
+    """Right action of a permutation on a tuple: entry i becomes gamma[pi(i)]."""
+    if len(gamma) != len(pi):
+        raise ValueError("tuple and permutation must have the same length")
+    return tuple(gamma[pi[i] - 1] for i in range(len(pi)))
+
+
+def standardize(values):
+    """The permutation with the same relative order as ``values``.
+
+    The smallest value maps to 1, the next to 2, and so on.  Duplicate
+    values are rejected.
+    """
+    values = tuple(values)
+    if len(set(values)) != len(values):
+        raise ValueError("cannot standardize a sequence with duplicates")
+    rank = {v: r for r, v in enumerate(sorted(values), 1)}
+    return tuple(rank[v] for v in values)
+
+
+# ---------------------------------------------------------------------------
+# mopiscotions
+
+
+def reduce_pair(alpha, sigma):
+    """Canonical form of a weak mopiscotion.
+
+    Drops the zero entries of ``alpha`` and standardizes the surviving
+    values of ``sigma``, e.g. ((3,0,1,2,0), [4,5,1,3,2]) -> ((3,1,2), [3,1,2]).
+    """
+    if len(alpha) != len(sigma):
+        raise ValueError("composition and permutation must have the same length")
+    keep = [i for i, a in enumerate(alpha) if a != 0]
+    return (
+        tuple(alpha[i] for i in keep),
+        standardize(sigma[i] for i in keep),
+    )
+
+
+def is_reduced(alpha, sigma):
+    return reduce_pair(alpha, sigma) == (tuple(alpha), tuple(sigma))
+
+
+def mopiscotions(n):
+    """All mopiscotions (alpha, sigma) with size(alpha) == n.
+
+    Ordered by length of alpha, then lexicographically on alpha, then on
+    sigma's one-line form.
+    """
+    for alpha in compositions(n):
+        for sigma in itertools.permutations(range(1, len(alpha) + 1)):
+            yield (alpha, sigma)
+
+
+# ---------------------------------------------------------------------------
+# contingency tables
+
+
+def contingency_tables(alpha, beta):
+    """All k x l nonnegative-integer matrices with row sums ``alpha`` and
+    column sums ``beta``.
+
+    Tables are emitted as tuples of row tuples, in lexicographic order of
+    the row-major flattening.  The stream is empty when the two sums
+    disagree; for alpha = beta = () it holds the single 0 x 0 table.
+
+    The enumeration fills rows recursively, keeping the running column
+    budgets (the part of each column sum not yet consumed) so dead branches
+    are pruned as soon as a row cannot be completed.
+    """
+    alpha, beta = tuple(alpha), tuple(beta)
+    if sum(alpha) != sum(beta):
+        return
+
+    def row_fills(total, budgets):
+        # vectors 0 <= r <= budgets entrywise with sum(r) == total, lex order
+        if not budgets:
+            if total == 0:
+                yield ()
+            return
+        lo = max(0, total - sum(budgets[1:]))
+        hi = min(total, budgets[0])
+        for v in range(lo, hi + 1):
+            for rest in row_fills(total - v, budgets[1:]):
+                yield (v,) + rest
+
+    def fill(i, budgets):
+        if i == len(alpha):
+            yield ()
+            return
+        for row in row_fills(alpha[i], budgets):
+            remaining = tuple(b - r for b, r in zip(budgets, row))
+            for tail in fill(i + 1, remaining):
+                yield (row,) + tail
+
+    yield from fill(0, beta)
+
+
+def flatten_lex(table):
+    """Row-major reading of a table as a weak composition."""
+    return tuple(entry for row in table for entry in row)
+
+
+def transpose(table):
+    cols = len(table[0]) if table else 0
+    return tuple(tuple(row[j] for row in table) for j in range(cols))
+
+
+# ---------------------------------------------------------------------------
+# text forms: composition "(3,0,1,2,0)", permutation "[4,5,1,3,2]",
+# mopiscotion "((3,1,2);[3,1,2])" -- printed with no spaces, parsed with
+# arbitrary whitespace
+
+
+def format_composition(alpha):
+    return "(" + ",".join(str(a) for a in alpha) + ")"
+
+
+def format_permutation(sigma):
+    return "[" + ",".join(str(s) for s in sigma) + "]"
+
+
+def format_pair(alpha, sigma):
+    return "(" + format_composition(alpha) + ";" + format_permutation(sigma) + ")"
+
+
+class ParseError(ValueError):
+    """Malformed textual input; ``position`` is a 0-based offset."""
+
+    def __init__(self, message, position):
+        super().__init__(f"{message} (at position {position})")
+        self.message = message
+        self.position = position
+
+
+def _strip(text):
+    return "".join(text.split())
+
+
+def _parse_int_list(body, opener, start):
+    if not body:
+        return ()
+    out = []
+    for piece in body.split(","):
+        if not piece.isdigit():
+            raise ParseError(f"expected a nonnegative integer, got {piece!r}", start)
+        out.append(int(piece))
+    return tuple(out)
+
+
+def parse_composition(text):
+    """Parse "(3,0,1,2,0)" into a weak composition (negatives rejected)."""
+    s = _strip(text)
+    if not (s.startswith("(") and s.endswith(")")):
+        raise ParseError("weak composition must look like (a,b,...)", 0)
+    return _parse_int_list(s[1:-1], "(", 1)
+
+
+def parse_permutation(text):
+    """Parse "[4,5,1,3,2]" into a permutation tuple."""
+    s = _strip(text)
+    if not (s.startswith("[") and s.endswith("]")):
+        raise ParseError("permutation must look like [s1,s2,...]", 0)
+    images = _parse_int_list(s[1:-1], "[", 1)
+    if not is_permutation(images):
+        raise ParseError(f"{s} is not a permutation of 1..{len(images)}", 1)
+    return images
+
+
+def parse_pair(text):
+    """Parse "((3,1,2);[3,1,2])" into an (alpha, sigma) pair.
+
+    Weak entries are accepted; the caller decides whether to reduce.
+    """
+    s = _strip(text)
+    if not (s.startswith("(") and s.endswith(")")):
+        raise ParseError("mopiscotion must look like ((..);[..])", 0)
+    body = s[1:-1]
+    if ";" not in body:
+        raise ParseError("mopiscotion needs a ';' between composition and permutation", 1)
+    comp_text, perm_text = body.split(";", 1)
+    alpha = parse_composition(comp_text)
+    sigma = parse_permutation(perm_text)
+    if len(alpha) != len(sigma):
+        raise ParseError("composition and permutation lengths differ", 1)
+    return alpha, sigma

@@ -1,0 +1,402 @@
+"""Brute-force graded-bialgebra models for verifying operator formulas.
+
+The main model is the free algebra on triangular generators x(i,j) for
+1 <= i < j <= n, with x(k,k) treated as the unit, deg x(i,j) = j - i, and
+
+    coproduct(x(i,j)) = sum over i <= k <= j of x(i,k) (x) x(k,j).
+
+Words are tuples of (i,j) letters (unit letters never stored); elements are
+rational combinations of words; tensors are combinations of fixed-arity
+tuples of words.  Everything -- iterated coproducts, leg-wise degree
+projections, the permutation action on tensor factors, and the twisted
+operators built from them -- is computed from first principles so the
+closed formulas elsewhere in the package can be checked against it.
+
+A second model (free on primitive degree-1 generators, cocommutative) backs
+the checks that only hold under cocommutativity.
+"""
+
+import itertools
+from fractions import Fraction
+
+from . import combinatorics as comb
+
+
+def letter_degree(letter):
+    # triangular letters are (i,j) pairs of degree j-i; primitive letters
+    # are plain ints of degree 1
+    if isinstance(letter, tuple):
+        return letter[1] - letter[0]
+    return 1
+
+
+def word_degree(word):
+    return sum(letter_degree(x) for x in word)
+
+
+class FreeElement:
+    """Rational combination of words."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {w: c for w, c in (terms or {}).items() if c}
+
+    def __eq__(self, other):
+        return isinstance(other, FreeElement) and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for w, c in other.terms.items():
+            terms[w] = terms.get(w, Fraction(0)) + c
+        return FreeElement(terms)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __rmul__(self, c):
+        c = Fraction(c)
+        return FreeElement({w: c * v for w, v in self.terms.items()})
+
+    def __repr__(self):
+        return format_free_element(self)
+
+
+class FreeTensor:
+    """Rational combination of arity-k tuples of words.
+
+    The arity is part of the value; mixing arities is an error rather than
+    a coercion.
+    """
+
+    __slots__ = ("arity", "terms")
+
+    def __init__(self, arity, terms=None):
+        self.arity = arity
+        self.terms = {}
+        for legs, c in (terms or {}).items():
+            if len(legs) != arity:
+                raise ValueError(f"expected {arity} legs, got {len(legs)}")
+            if c:
+                self.terms[legs] = c
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FreeTensor)
+            and self.arity == other.arity
+            and self.terms == other.terms
+        )
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if self.arity != other.arity:
+            raise ValueError("cannot add tensors of different arities")
+        terms = dict(self.terms)
+        for legs, c in other.terms.items():
+            terms[legs] = terms.get(legs, Fraction(0)) + c
+        return FreeTensor(self.arity, terms)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __rmul__(self, c):
+        c = Fraction(c)
+        return FreeTensor(self.arity, {k: c * v for k, v in self.terms.items()})
+
+
+def element(word, coeff=1):
+    return FreeElement({tuple(word): Fraction(coeff)})
+
+
+def one():
+    return FreeElement({(): Fraction(1)})
+
+
+def tensor_of_elements(*elements_):
+    """Pure tensor of the given elements, multiplied out."""
+    terms = {(): Fraction(1)}
+    for e in elements_:
+        new = {}
+        for legs, c in terms.items():
+            for w, d in e.terms.items():
+                new[legs + (w,)] = new.get(legs + (w,), Fraction(0)) + c * d
+        terms = new
+    return FreeTensor(len(elements_), terms)
+
+
+class TriangularModel:
+    """Free algebra on x(i,j), 1 <= i < j <= n; vacuous for n = 1."""
+
+    def __init__(self, n):
+        if n < 1:
+            raise ValueError("model size must be >= 1")
+        self.n = n
+
+    def generators(self):
+        return [
+            (i, j)
+            for i in range(1, self.n + 1)
+            for j in range(i + 1, self.n + 1)
+        ]
+
+    def gen(self, i, j):
+        if not (1 <= i < j <= self.n):
+            raise ValueError(f"no generator x({i},{j}) in a size-{self.n} model")
+        return element(((i, j),))
+
+    def admits(self, word):
+        return True
+
+    def letter_coproduct_legs(self, letter, k):
+        """All k-leg splittings of one generator: chains i = u0 <= ... <= uk = j."""
+        i, j = letter
+        if k == 0:
+            return  # positive degree dies under the counit
+        for mids in itertools.combinations_with_replacement(range(i, j + 1), k - 1):
+            u = (i,) + mids + (j,)
+            yield tuple(
+                ((u[r], u[r + 1]),) if u[r] < u[r + 1] else ()
+                for r in range(k)
+            )
+
+
+class PrimitiveTensorModel:
+    """Free algebra on primitive degree-1 generators 1..g (cocommutative).
+
+    ``cap`` bounds the tracked degree so Sweedler expansions stay finite no
+    matter how the model is driven.
+    """
+
+    def __init__(self, g, cap=8):
+        if g < 1:
+            raise ValueError("need at least one generator")
+        self.g = g
+        self.cap = cap
+
+    def generators(self):
+        return list(range(1, self.g + 1))
+
+    def gen(self, a):
+        if not (1 <= a <= self.g):
+            raise ValueError(f"no generator y({a}) in a {self.g}-generator model")
+        return element((a,))
+
+    def admits(self, word):
+        return word_degree(word) <= self.cap
+
+    def letter_coproduct_legs(self, letter, k):
+        # primitive: the letter lands in exactly one leg
+        for r in range(k):
+            yield tuple((letter,) if q == r else () for q in range(k))
+
+
+# ---------------------------------------------------------------------------
+# structural operations
+
+
+def element_mul(model, f, g):
+    """Product in the model: concatenation of words, bilinear."""
+    terms = {}
+    for w1, c in f.terms.items():
+        for w2, d in g.terms.items():
+            w = w1 + w2
+            if model.admits(w):
+                terms[w] = terms.get(w, Fraction(0)) + c * d
+    return FreeElement(terms)
+
+
+def _word_delta(model, k, word):
+    terms = {tuple(() for _ in range(k)): Fraction(1)}
+    for letter in word:
+        new = {}
+        for legs in model.letter_coproduct_legs(letter, k):
+            for key, c in terms.items():
+                merged = tuple(key[r] + legs[r] for r in range(k))
+                if all(model.admits(w) for w in merged):
+                    new[merged] = new.get(merged, Fraction(0)) + c
+        terms = new
+        if not terms:
+            break
+    return terms
+
+
+def delta_power(model, k, f):
+    """The k-fold coproduct as an arity-k tensor.
+
+    Extended to words multiplicatively (the coproduct is an algebra
+    morphism); k = 0 is the counit landing in arity-0 tensors, k = 1 the
+    identity.
+    """
+    out = {}
+    for word, c in f.terms.items():
+        for legs, mult in _word_delta(model, k, word).items():
+            out[legs] = out.get(legs, Fraction(0)) + c * mult
+    return FreeTensor(k, out)
+
+
+def m_power(t):
+    """Multiply all legs together (in order); arity 0 embeds scalars."""
+    terms = {}
+    for legs, c in t.terms.items():
+        word = tuple(x for leg in legs for x in leg)
+        terms[word] = terms.get(word, Fraction(0)) + c
+    return FreeElement(terms)
+
+
+def project_multi(t, alpha):
+    """Keep the terms whose leg-wise degrees equal alpha entrywise."""
+    if len(alpha) != t.arity:
+        raise ValueError(
+            f"projection of length {len(alpha)} on arity-{t.arity} tensor"
+        )
+    terms = {
+        legs: c
+        for legs, c in t.terms.items()
+        if all(word_degree(legs[r]) == alpha[r] for r in range(t.arity))
+    }
+    return FreeTensor(t.arity, terms)
+
+
+def permute_tensor(t, pi):
+    """Left action of pi: leg r of the result is leg pi^{-1}(r) of the input."""
+    if len(pi) != t.arity:
+        raise ValueError(
+            f"permutation of degree {len(pi)} on arity-{t.arity} tensor"
+        )
+    inv = comb.inverse(pi)
+    terms = {}
+    for legs, c in t.terms.items():
+        moved = tuple(legs[inv[r] - 1] for r in range(t.arity))
+        terms[moved] = terms.get(moved, Fraction(0)) + c
+    return FreeTensor(t.arity, terms)
+
+
+def degree_part(f, n):
+    return FreeElement(
+        {w: c for w, c in f.terms.items() if word_degree(w) == n}
+    )
+
+
+def apply_pas(model, alpha, sigma, f):
+    """The twisted operator: multiply . project . untwist . comultiply."""
+    k = len(alpha)
+    if len(sigma) != k:
+        raise ValueError("composition and permutation lengths differ")
+    spread = delta_power(model, k, f)
+    twisted = permute_tensor(spread, comb.inverse(sigma))
+    return m_power(project_multi(twisted, alpha))
+
+
+def apply_convolution_of_projections(model, alpha, f):
+    """The convolution of plain degree projections, from the Sweedler side.
+
+    Built by folding the binary convolution (phi * psi)(x) =
+    m((phi (x) psi)(coproduct x)); deliberately shares nothing with
+    :func:`apply_pas` beyond the coproduct itself.
+    """
+
+    def convolve(phi, psi):
+        def conv(e):
+            out = FreeElement({})
+            for (w1, w2), c in delta_power(model, 2, e).terms.items():
+                left = phi(FreeElement({w1: Fraction(1)}))
+                right = psi(FreeElement({w2: Fraction(1)}))
+                out = out + c * element_mul(model, left, right)
+            return out
+
+        return conv
+
+    def projection(n):
+        return lambda e: degree_part(e, n)
+
+    def unit_counit(e):
+        c = e.terms.get((), Fraction(0))
+        return FreeElement({(): c})
+
+    if not alpha:
+        return unit_counit(f)
+    op = projection(alpha[0])
+    for a in alpha[1:]:
+        op = convolve(op, projection(a))
+    return op(f)
+
+
+def evaluate_pnsym(model, f, x):
+    """Act by an element of PNSym: each basis key acts as its operator."""
+    out = FreeElement({})
+    for (alpha, sigma), c in f.terms.items():
+        out = out + c * apply_pas(model, alpha, sigma, x)
+    return out
+
+
+def apply_pas_on_tensor_square(model, alpha, sigma, t):
+    """The twisted operator of the tensor-square bialgebra H (x) H.
+
+    Computed directly from the componentwise structure: coproducts are
+    taken leg-wise and zipped, the permutation moves the zipped slots, the
+    projection filters on total slot degree, and multiplication is
+    componentwise.  Input and output are arity-2 tensors.
+    """
+    if t.arity != 2:
+        raise ValueError("expected an arity-2 tensor")
+    k = len(alpha)
+    if len(sigma) != k:
+        raise ValueError("composition and permutation lengths differ")
+    out = {}
+    for (w, v), c in t.terms.items():
+        dw = _word_delta(model, k, w)
+        dv = _word_delta(model, k, v)
+        for wlegs, cw in dw.items():
+            for vlegs, cv in dv.items():
+                # slot r of the untwisted zip holds (wlegs[sigma(r)], vlegs[sigma(r)])
+                pairs = tuple(
+                    (wlegs[sigma[r] - 1], vlegs[sigma[r] - 1]) for r in range(k)
+                )
+                if any(
+                    word_degree(a) + word_degree(b) != alpha[r]
+                    for r, (a, b) in enumerate(pairs)
+                ):
+                    continue
+                left = tuple(x for a, _ in pairs for x in a)
+                right = tuple(x for _, b in pairs for x in b)
+                key = (left, right)
+                out[key] = out.get(key, Fraction(0)) + c * cw * cv
+    return FreeTensor(2, out)
+
+
+# ---------------------------------------------------------------------------
+# text form
+
+
+def format_word(word):
+    if not word:
+        return "1"
+    pieces = []
+    for letter in word:
+        if isinstance(letter, tuple):
+            pieces.append(f"x({letter[0]},{letter[1]})")
+        else:
+            pieces.append(f"y({letter})")
+    return "".join(pieces)
+
+
+def format_free_element(f):
+    if not f.terms:
+        return "0"
+    parts = []
+    for word, c in sorted(
+        f.terms.items(), key=lambda kv: (word_degree(kv[0]), len(kv[0]), kv[0])
+    ):
+        body = format_word(word)
+        mag = abs(c)
+        piece = body if (mag == 1 and word) else f"{mag}*{body}"
+        if not parts:
+            parts.append(piece if c > 0 else f"-{piece}")
+        else:
+            parts.append(f" + {piece}" if c > 0 else f" - {piece}")
+    return "".join(parts)

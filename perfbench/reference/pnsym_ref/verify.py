@@ -1,0 +1,528 @@
+"""Brute-force verification driver.
+
+Every structural identity the library relies on is re-checked here against
+the free models in :mod:`pnsym.oracle`, from first principles and in exact
+arithmetic.  Each *family* enumerates a deterministic set of cases (no
+randomness, so reports are byte-identical between runs) and reports how many
+cases were run and how many failed.
+
+The driver is what ``pnsym verify`` runs.  Families can also be run one at a
+time through :func:`run_family`, which the test suite uses to push individual
+families beyond the default bounds.
+"""
+
+import concurrent.futures
+import itertools
+import os
+from dataclasses import dataclass
+from fractions import Fraction
+
+from . import combinatorics as comb
+from . import core
+from . import oracle
+from .oracle import FreeTensor, element
+
+
+@dataclass(frozen=True)
+class VerifyConfig:
+    """Bounds shared by all families.
+
+    ``model_size`` is the triangular-model size n; ``max_size`` bounds the
+    composition sizes swept by the operator families.  Permutation-level
+    families derive their degree bounds from ``max_size`` so the default
+    config (4, 3) exercises wreath degrees up to 4.
+    """
+
+    model_size: int = 4
+    max_size: int = 3
+
+
+@dataclass(frozen=True)
+class FamilyResult:
+    name: str
+    cases: int
+    failures: int
+    examples: tuple = ()
+
+    @property
+    def ok(self):
+        return self.failures == 0
+
+
+# ---------------------------------------------------------------------------
+# deterministic case material
+
+
+def _mopiscotions_up_to(n):
+    out = []
+    for s in range(n + 1):
+        out.extend(comb.mopiscotions(s))
+    return out
+
+
+def _weak_pairs_up_to(size_max, length_max, max_zeros=None):
+    """All weak mopiscotions (alpha, sigma) with |alpha| <= size_max."""
+    out = []
+    for s in range(size_max + 1):
+        for length in range(length_max + 1):
+            for alpha in comb.weak_compositions(s, length):
+                if max_zeros is not None and alpha.count(0) > max_zeros:
+                    continue
+                for sigma in itertools.permutations(range(1, length + 1)):
+                    out.append((alpha, sigma))
+    return out
+
+
+def _generator_elements(model):
+    if isinstance(model, oracle.TriangularModel):
+        return [(comb.format_composition(g), model.gen(*g)) for g in model.generators()]
+    return [(f"y({a})", model.gen(a)) for a in model.generators()]
+
+
+def _probe_elements(model):
+    """Generators plus a couple of fixed composite probes."""
+    probes = _generator_elements(model)
+    gens = model.generators()
+    if len(gens) >= 2:
+        w = (gens[0], gens[1])
+        probes.append((oracle.format_word(w), element(w)))
+        mixed = Fraction(1, 2) * model.gen(*_as_args(gens[0])) + element(w) - 2 * model.gen(*_as_args(gens[1]))
+        probes.append(("mixed", mixed))
+    return probes
+
+
+def _as_args(letter):
+    return letter if isinstance(letter, tuple) else (letter,)
+
+
+def _leg_pool(model):
+    """Words used to assemble probe tensors, unit leg included."""
+    gens = model.generators()
+    pool = [(), (gens[0],)]
+    for g in gens[1:4]:
+        pool.append((g,))
+    if len(gens) >= 2:
+        pool.append((gens[0], gens[1]))
+    return tuple(pool)
+
+
+def _probe_tensors(model, arity):
+    if arity == 0:
+        return [
+            FreeTensor(0, {(): Fraction(1)}),
+            FreeTensor(0, {(): Fraction(3, 2)}),
+        ]
+    pool = _leg_pool(model)
+    key1 = tuple(pool[r % len(pool)] for r in range(arity))
+    key2 = tuple(pool[(r + 2) % len(pool)] for r in range(arity))
+    mixed = {key1: Fraction(1, 2)}
+    mixed[key2] = mixed.get(key2, Fraction(0)) + Fraction(2)
+    return [FreeTensor(arity, {key1: Fraction(1)}), FreeTensor(arity, mixed)]
+
+
+def _legwise_delta(model, t, k):
+    """Apply the k-fold coproduct to every leg, flattening block-wise."""
+    terms = {}
+    for legs, c in t.terms.items():
+        partial = [((), c)]
+        for w in legs:
+            dw = oracle.delta_power(model, k, element(w))
+            partial = [
+                (acc + key, cc * d)
+                for acc, cc in partial
+                for key, d in dw.terms.items()
+            ]
+        for key, cc in partial:
+            terms[key] = terms.get(key, Fraction(0)) + cc
+    return FreeTensor(t.arity * k, terms)
+
+
+def _block_merge(t, k, length):
+    """Concatenate consecutive blocks of ``length`` legs: arity k*length -> k."""
+    if t.arity != k * length:
+        raise ValueError("arity mismatch")
+    terms = {}
+    for legs, c in t.terms.items():
+        new = tuple(
+            tuple(itertools.chain.from_iterable(legs[b * length:(b + 1) * length]))
+            for b in range(k)
+        )
+        terms[new] = terms.get(new, Fraction(0)) + c
+    return FreeTensor(k, terms)
+
+
+def _model_convolve(model, phi, psi, f):
+    """Convolution (phi * psi)(f) by Sweedler expansion in the model."""
+    out = oracle.FreeElement()
+    for (w, v), c in oracle.delta_power(model, 2, f).terms.items():
+        out = out + c * oracle.element_mul(model, phi(element(w)), psi(element(v)))
+    return out
+
+
+def _case_label(*parts):
+    return " ".join(str(p) for p in parts)
+
+
+# ---------------------------------------------------------------------------
+# operator families (triangular model unless stated otherwise)
+
+
+def _fam_composition_expansion(cfg):
+    """Composite of two operators equals the internal-product expansion."""
+    model = oracle.TriangularModel(cfg.model_size)
+    gens = _generator_elements(model)
+    strict = _mopiscotions_up_to(cfg.max_size)
+    for (a, s), (b, t) in itertools.product(strict, strict):
+        if comb.size(a) != comb.size(b):
+            continue
+        expansion = core.internal_mul(core.basis(a, s), core.basis(b, t))
+        for gname, x in gens:
+            lhs = oracle.apply_pas(model, a, s, oracle.apply_pas(model, b, t, x))
+            rhs = oracle.evaluate_pnsym(model, expansion, x)
+            yield _case_label(comb.format_pair(a, s), comb.format_pair(b, t), gname), lhs == rhs
+    # weak keys, through from_weak_term (reduction on ingest)
+    weak = _weak_pairs_up_to(max(cfg.max_size - 1, 0), cfg.max_size)
+    for (a, s), (b, t) in itertools.product(weak, weak):
+        if comb.size(a) != comb.size(b):
+            continue
+        expansion = core.internal_mul(
+            core.from_weak_term(1, (a, s)), core.from_weak_term(1, (b, t))
+        )
+        for gname, x in gens:
+            lhs = oracle.apply_pas(model, a, s, oracle.apply_pas(model, b, t, x))
+            rhs = oracle.evaluate_pnsym(model, expansion, x)
+            yield _case_label(comb.format_pair(a, s), comb.format_pair(b, t), gname), lhs == rhs
+
+
+def _fam_convolution_concatenation(cfg):
+    """Convolution of two operators is the operator of the concatenated key."""
+    model = oracle.TriangularModel(cfg.model_size)
+    probes = _probe_elements(model)
+    keys = _mopiscotions_up_to(cfg.max_size)
+    for (a, s), (b, t) in itertools.product(keys, keys):
+        glued_alpha = comb.concat(a, b)
+        glued_sigma = comb.direct_sum(s, t)
+        for pname, x in probes:
+            lhs = _model_convolve(
+                model,
+                lambda e, a=a, s=s: oracle.apply_pas(model, a, s, e),
+                lambda e, b=b, t=t: oracle.apply_pas(model, b, t, e),
+                x,
+            )
+            rhs = oracle.apply_pas(model, glued_alpha, glued_sigma, x)
+            yield _case_label(comb.format_pair(a, s), comb.format_pair(b, t), pname), lhs == rhs
+
+
+def _fam_projection_convolution(cfg):
+    """Identity-twist operators agree with convolutions of plain projections."""
+    model = oracle.TriangularModel(cfg.model_size)
+    probes = _probe_elements(model)
+    for s in range(cfg.max_size + 1):
+        for length in range(cfg.max_size + 2):
+            for alpha in comb.weak_compositions(s, length):
+                sigma = comb.identity(length)
+                for pname, x in probes:
+                    lhs = oracle.apply_pas(model, alpha, sigma, x)
+                    rhs = oracle.apply_convolution_of_projections(model, alpha, x)
+                    yield _case_label(comb.format_composition(alpha), pname), lhs == rhs
+
+
+def _fam_reduction_invariance(cfg):
+    """A weak key and its reduction give the same operator."""
+    model = oracle.TriangularModel(cfg.model_size)
+    gens = _generator_elements(model)
+    for alpha, sigma in _weak_pairs_up_to(cfg.max_size, cfg.max_size + 2, max_zeros=2):
+        red_alpha, red_sigma = comb.reduce_pair(alpha, sigma)
+        for gname, x in gens:
+            lhs = oracle.apply_pas(model, alpha, sigma, x)
+            rhs = oracle.apply_pas(model, red_alpha, red_sigma, x)
+            yield _case_label(comb.format_pair(alpha, sigma), gname), lhs == rhs
+
+
+def _fam_degree_projection(cfg):
+    """Operators kill degrees other than their size and preserve their size."""
+    model = oracle.TriangularModel(cfg.model_size)
+    homogeneous = list(_generator_elements(model))
+    homogeneous.append(("x(1,2)x(2,3)", element(((1, 2), (2, 3)))))
+    if cfg.model_size >= 4:
+        homogeneous.append(("x(1,2)x(3,4)", element(((1, 2), (3, 4)))))
+        homogeneous.append(("x(1,2)x(2,3)x(3,4)", element(((1, 2), (2, 3), (3, 4)))))
+    for alpha, sigma in _mopiscotions_up_to(cfg.max_size):
+        n = comb.size(alpha)
+        for hname, x in homogeneous:
+            degree = oracle.word_degree(next(iter(x.terms)))
+            image = oracle.apply_pas(model, alpha, sigma, x)
+            if degree != n:
+                ok = not image
+            else:
+                ok = all(oracle.word_degree(w) == n for w in image.terms)
+            yield _case_label(comb.format_pair(alpha, sigma), hname), ok
+
+
+def _fam_cocommutative_collapse(cfg):
+    """On a cocommutative model the permutation twist is invisible."""
+    model = oracle.PrimitiveTensorModel(2, cap=cfg.max_size + 2)
+    words = []
+    for length in range(1, cfg.max_size + 1):
+        words.extend(itertools.product(model.generators(), repeat=length))
+    for alpha, sigma in _mopiscotions_up_to(cfg.max_size):
+        ident = comb.identity(len(sigma))
+        if sigma == ident:
+            continue
+        for w in words:
+            lhs = oracle.apply_pas(model, alpha, sigma, element(w))
+            rhs = oracle.apply_pas(model, alpha, ident, element(w))
+            yield _case_label(comb.format_pair(alpha, sigma), oracle.format_word(w)), lhs == rhs
+
+
+def _fam_tensor_square_expansion(cfg):
+    """Operators on a tensor square split over entrywise summands."""
+    model = oracle.TriangularModel(cfg.model_size)
+    legs = [oracle.one(), element(((1, 2),)), element(((1, 3),)), element(((1, 2), (2, 3)))]
+    probes = [
+        (f"leg{i}x{j}", oracle.tensor_of_elements(f, g))
+        for (i, f), (j, g) in itertools.product(enumerate(legs), repeat=2)
+    ]
+    for alpha, sigma in _mopiscotions_up_to(cfg.max_size):
+        for pname, t in probes:
+            lhs = oracle.apply_pas_on_tensor_square(model, alpha, sigma, t)
+            rhs = FreeTensor(2)
+            for beta, gamma in comb.entrywise_splittings(alpha):
+                for (w, v), c in t.terms.items():
+                    piece = oracle.tensor_of_elements(
+                        oracle.apply_pas(model, beta, sigma, element(w)),
+                        oracle.apply_pas(model, gamma, sigma, element(v)),
+                    )
+                    rhs = rhs + c * piece
+            yield _case_label(comb.format_pair(alpha, sigma), pname), lhs == rhs
+
+
+def _fam_distinct_images(cfg):
+    """Images of one top-degree generator are pairwise distinct monomials."""
+    model = oracle.TriangularModel(cfg.model_size)
+    for s in range(1, min(cfg.max_size, cfg.model_size - 1) + 1):
+        x = model.gen(1, 1 + s)
+        seen = set()
+        for alpha, sigma in comb.mopiscotions(s):
+            image = oracle.apply_pas(model, alpha, sigma, x)
+            items = list(image.terms.items())
+            ok = len(items) == 1 and items[0][1] == 1 and items[0][0] not in seen
+            if items:
+                seen.add(items[0][0])
+            yield _case_label(comb.format_pair(alpha, sigma), f"x(1,{1 + s})"), ok
+
+
+# ---------------------------------------------------------------------------
+# permutation-level families
+
+
+def _fam_shuffle_factorization(cfg):
+    """The composed-operator permutation factors through the shuffle."""
+    bound = cfg.max_size + 1
+    for k in range(1, bound + 1):
+        for length in range(1, bound + 1):
+            zeta_inv = comb.inverse(comb.zolotarev(k, length))
+            for sigma in itertools.permutations(range(1, k + 1)):
+                blocks = comb.block_power(sigma, length)
+                for tau in itertools.permutations(range(1, length + 1)):
+                    lhs = comb.compose(
+                        comb.interleave_power(tau, k), comb.compose(zeta_inv, blocks)
+                    )
+                    rhs = comb.wreath_substitute(tau, sigma)
+                    yield _case_label(k, length, sigma, tau), lhs == rhs
+
+
+def _fam_wreath_associativity(cfg):
+    """Substitution of permutations is associative."""
+    bound = cfg.max_size + 1
+    for k in range(1, bound + 1):
+        for length in range(1, bound + 1):
+            for m in range(1, cfg.max_size + 1):
+                for sigma in itertools.permutations(range(1, k + 1)):
+                    for tau in itertools.permutations(range(1, length + 1)):
+                        inner = comb.wreath_substitute(tau, sigma)
+                        for ups in itertools.permutations(range(1, m + 1)):
+                            lhs = comb.wreath_substitute(ups, inner)
+                            rhs = comb.wreath_substitute(comb.wreath_substitute(ups, tau), sigma)
+                            yield _case_label(k, length, m, sigma, tau, ups), lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# iterated-structure families (maps in and out of tensor powers)
+
+
+def _iter_kl(cfg):
+    top = min(cfg.max_size, 3)
+    for k in range(top + 1):
+        for length in range(top + 1):
+            yield k, length
+
+
+def _fam_iterated_product_merge(cfg):
+    """Multiplying block-wise then across blocks is one big multiplication."""
+    model = oracle.TriangularModel(cfg.model_size)
+    for k, length in _iter_kl(cfg):
+        for i, t in enumerate(_probe_tensors(model, k * length)):
+            lhs = oracle.m_power(_block_merge(t, k, length))
+            rhs = oracle.m_power(t)
+            yield _case_label(k, length, f"t{i}"), lhs == rhs
+
+
+def _fam_iterated_coproduct_merge(cfg):
+    """Splitting every leg again is one big splitting."""
+    model = oracle.TriangularModel(cfg.model_size)
+    for k, length in _iter_kl(cfg):
+        for pname, x in _generator_elements(model):
+            lhs = _legwise_delta(model, oracle.delta_power(model, length, x), k)
+            rhs = oracle.delta_power(model, k * length, x)
+            yield _case_label(k, length, pname), lhs == rhs
+
+
+def _fam_product_coproduct_exchange(cfg):
+    """Coproduct of a product re-sorts through the shuffle permutation."""
+    model = oracle.TriangularModel(cfg.model_size)
+    for k, length in _iter_kl(cfg):
+        zeta = comb.zolotarev(k, length)
+        for i, t in enumerate(_probe_tensors(model, length)):
+            lhs = oracle.delta_power(model, k, oracle.m_power(t))
+            spread = _legwise_delta(model, t, k)
+            rhs = _block_merge(oracle.permute_tensor(spread, zeta), k, length)
+            yield _case_label(k, length, f"t{i}"), lhs == rhs
+
+
+def _fam_projection_product_split(cfg):
+    """Projecting a block product sums over per-block degree splits."""
+    model = oracle.TriangularModel(cfg.model_size)
+    for k, length in _iter_kl(cfg):
+        if k * length > 6:
+            continue
+        for d in range(cfg.max_size + 1):
+            for gamma in comb.weak_compositions(d, k):
+                for i, t in enumerate(_probe_tensors(model, k * length)):
+                    lhs = oracle.project_multi(_block_merge(t, k, length), gamma)
+                    rhs = FreeTensor(k)
+                    for rows in itertools.product(
+                        *(comb.weak_compositions(g, length) for g in gamma)
+                    ):
+                        flat = tuple(itertools.chain.from_iterable(rows))
+                        rhs = rhs + _block_merge(oracle.project_multi(t, flat), k, length)
+                    yield _case_label(k, length, comb.format_composition(gamma), f"t{i}"), lhs == rhs
+
+
+def _fam_projection_coproduct_split(cfg):
+    """Projecting before splitting sums over per-leg degree splits."""
+    model = oracle.TriangularModel(cfg.model_size)
+    for k, length in _iter_kl(cfg):
+        if k * length > 6:
+            continue
+        for d in range(cfg.max_size + 1):
+            for gamma in comb.weak_compositions(d, k):
+                for i, t in enumerate(_probe_tensors(model, k)):
+                    lhs = _legwise_delta(model, oracle.project_multi(t, gamma), length)
+                    rhs = FreeTensor(k * length)
+                    spread = _legwise_delta(model, t, length)
+                    for rows in itertools.product(
+                        *(comb.weak_compositions(g, length) for g in gamma)
+                    ):
+                        flat = tuple(itertools.chain.from_iterable(rows))
+                        rhs = rhs + oracle.project_multi(spread, flat)
+                    yield _case_label(k, length, comb.format_composition(gamma), f"t{i}"), lhs == rhs
+
+
+def _fam_projection_permutation_twist(cfg):
+    """Projection after permuting equals permuting a re-indexed projection."""
+    model = oracle.TriangularModel(cfg.model_size)
+    for k in range(min(cfg.max_size, 3) + 1):
+        for pi in itertools.permutations(range(1, k + 1)):
+            for d in range(cfg.max_size + 1):
+                for gamma in comb.weak_compositions(d, k):
+                    for i, t in enumerate(_probe_tensors(model, k)):
+                        lhs = oracle.project_multi(oracle.permute_tensor(t, pi), gamma)
+                        rhs = oracle.permute_tensor(
+                            oracle.project_multi(t, comb.act_right(gamma, pi)), pi
+                        )
+                        yield _case_label(k, pi, comb.format_composition(gamma), f"t{i}"), lhs == rhs
+
+
+def _fam_projection_orthogonality(cfg):
+    """Distinct projections annihilate each other; equal ones are idempotent."""
+    model = oracle.TriangularModel(cfg.model_size)
+    for k in range(min(cfg.max_size, 2) + 1):
+        pool = [
+            gamma
+            for d in range(cfg.max_size + 1)
+            for gamma in comb.weak_compositions(d, k)
+        ]
+        for alpha, beta in itertools.product(pool, repeat=2):
+            for i, t in enumerate(_probe_tensors(model, k)):
+                lhs = oracle.project_multi(oracle.project_multi(t, beta), alpha)
+                rhs = oracle.project_multi(t, alpha) if alpha == beta else FreeTensor(k)
+                yield _case_label(
+                    comb.format_composition(alpha), comb.format_composition(beta), f"t{i}"
+                ), lhs == rhs
+
+
+FAMILIES = {
+    "composition-expansion": _fam_composition_expansion,
+    "convolution-concatenation": _fam_convolution_concatenation,
+    "projection-convolution": _fam_projection_convolution,
+    "reduction-invariance": _fam_reduction_invariance,
+    "degree-projection": _fam_degree_projection,
+    "cocommutative-collapse": _fam_cocommutative_collapse,
+    "tensor-square-expansion": _fam_tensor_square_expansion,
+    "distinct-images": _fam_distinct_images,
+    "shuffle-factorization": _fam_shuffle_factorization,
+    "wreath-associativity": _fam_wreath_associativity,
+    "iterated-product-merge": _fam_iterated_product_merge,
+    "iterated-coproduct-merge": _fam_iterated_coproduct_merge,
+    "product-coproduct-exchange": _fam_product_coproduct_exchange,
+    "projection-product-split": _fam_projection_product_split,
+    "projection-coproduct-split": _fam_projection_coproduct_split,
+    "projection-permutation-twist": _fam_projection_permutation_twist,
+    "projection-orthogonality": _fam_projection_orthogonality,
+}
+
+
+def worker_count(env=None):
+    """Worker cap from PNSYM_THREADS; 0, unset, or garbage mean 1."""
+    raw = (env or os.environ).get("PNSYM_THREADS", "")
+    try:
+        n = int(raw)
+    except ValueError:
+        return 1
+    return n if n > 0 else 1
+
+
+def run_family(name, model_size=4, max_size=3):
+    cfg = VerifyConfig(model_size=model_size, max_size=max_size)
+    cases = 0
+    failures = 0
+    examples = []
+    for label, ok in FAMILIES[name](cfg):
+        cases += 1
+        if not ok:
+            failures += 1
+            if len(examples) < 3:
+                examples.append(label)
+    return FamilyResult(name, cases, failures, tuple(examples))
+
+
+def run_all(model_size=4, max_size=3, threads=None, names=None):
+    """Run the named families (all by default), sharded across workers."""
+    if names is None:
+        names = list(FAMILIES)
+    if threads is None:
+        threads = worker_count()
+    if threads <= 1:
+        return [run_family(n, model_size, max_size) for n in names]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {n: pool.submit(run_family, n, model_size, max_size) for n in names}
+        return [futures[n].result() for n in names]
+
+
+def format_report(results):
+    lines = [f"{r.name}: {r.cases} cases, {r.failures} failures" for r in results]
+    total_c = sum(r.cases for r in results)
+    total_f = sum(r.failures for r in results)
+    lines.append(f"total: {total_c} cases, {total_f} failures")
+    return "\n".join(lines)
