@@ -93,87 +93,56 @@ class ConvPower:
     exponent: int
 
 
-@dataclass(frozen=True)
-class ExpansionBudget:
-    max_degree: int
-
-
 # ---------------------------------------------------------------------------
 # tokenizer
 
 
 def _tokens(text):
     """Yield (kind, value, position) triples; kinds are self-describing."""
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            yield "nat", int(text[i:j]), i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            run = text[i:j]
+    sc = comb.Scanner(text)
+    while not sc.at_end():
+        pos = sc.pos
+        ch = text[pos]
+        if sc.at_digit():
+            yield "nat", sc.natural(), pos
+        elif ch.isalpha():
+            while sc.pos < len(text) and text[sc.pos].isalpha():
+                sc.pos += 1
+            run = text[pos:sc.pos]
             if run == "o":
-                yield "compose", None, i
+                yield "compose", None, pos
             elif run == "id":
-                yield "id", None, i
+                yield "id", None, pos
             elif run == "S":
-                yield "antipode", None, i
+                yield "antipode", None, pos
             elif run == "ue":
-                yield "counit_unit", None, i
-            elif run == "p" and j < n and text[j].isdigit():
-                k = j
-                while k < n and text[k].isdigit():
-                    k += 1
-                yield "proj", int(text[j:k]), i
-                i = k
-                continue
-            elif run == "F" and j < n and text[j] == "(":
-                depth = 0
-                k = j
-                while k < n:
-                    if text[k] == "(":
-                        depth += 1
-                    elif text[k] == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    k += 1
-                if depth != 0:
-                    raise ParseError("unbalanced parentheses in basis escape", i)
-                try:
-                    alpha, sigma = comb.parse_pair(text[j:k + 1])
-                except ParseError as exc:
-                    raise ParseError(exc.message, exc.position + j) from None
-                yield "basis", (alpha, sigma), i
-                i = k + 1
-                continue
+                yield "counit_unit", None, pos
+            elif run == "p" and sc.at_digit():
+                yield "proj", sc.natural(), pos
+            elif run == "F":
+                yield "basis", sc.pair(), pos
             else:
-                raise ParseError(f"unknown name {run!r}", i)
-            i = j
-            continue
-        if ch in "()+-*/^":
-            yield ch, None, i
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    yield "end", None, n
+                raise ParseError(f"unknown name {run!r}", pos)
+        elif ch in "()+-*/^":
+            sc.pos += 1
+            yield ch, None, pos
+        else:
+            raise ParseError(f"unexpected character {ch!r}", pos)
+    yield "end", None, len(text)
+
+
+# Bound on the syntax tree's depth and on open parentheses.  The parser
+# nests about ten frames per open parenthesis, to_text and expand one or two
+# per tree level; this bound keeps all three inside Python's default
+# recursion limit of 1000 frames.
+MAX_DEPTH = 64
 
 
 class _TokenStream:
     def __init__(self, text):
         self.toks = list(_tokens(text))
         self.pos = 0
+        self.open_parens = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -196,64 +165,70 @@ class _TokenStream:
         return tok
 
 
+def _bounded(depth, pos):
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+    return depth
+
+
 # ---------------------------------------------------------------------------
 # parser — precedence, tightest first: powers, composition, convolution,
-# unary minus, then + and -; scalars bind like atoms (juxtaposition)
+# unary minus, then + and -; scalars bind like atoms (juxtaposition).  Each
+# level returns (node, depth of node).
 
 
 def parse(text):
     ts = _TokenStream(text)
-    node = _parse_sum(ts)
+    node, _ = _parse_sum(ts)
     kind, _, pos = ts.peek()
     if kind != "end":
         raise ParseError("trailing input", pos)
     return node
 
 
-def _negated(node):
-    if isinstance(node, ScalarMul):
-        return ScalarMul(-node.coeff, node.body)
-    return ScalarMul(Fraction(-1), node)
+def _chain(ts, operand, joins, first=None):
+    """A left-associative run of operands joined by the token kinds in ``joins``."""
+    node, depth = first or operand(ts)
+    while ts.peek()[0] in joins:
+        kind, _, pos = ts.next()
+        right, right_depth = operand(ts)
+        node = joins[kind](node, right)
+        depth = _bounded(max(depth, right_depth) + 1, pos)
+    return node, depth
 
 
 def _parse_sum(ts):
-    if ts.take("-"):
-        node = _negated(_parse_conv(ts))
-    else:
-        node = _parse_conv(ts)
-    while True:
-        if ts.take("+"):
-            node = Sum(node, _parse_conv(ts))
-        elif ts.take("-"):
-            node = Difference(node, _parse_conv(ts))
+    first = None
+    minus = ts.take("-")
+    if minus:
+        node, depth = _parse_conv(ts)
+        if isinstance(node, ScalarMul):
+            first = ScalarMul(-node.coeff, node.body), depth
         else:
-            return node
+            first = ScalarMul(Fraction(-1), node), _bounded(depth + 1, minus[2])
+    return _chain(ts, _parse_conv, {"+": Sum, "-": Difference}, first)
 
 
 def _parse_conv(ts):
-    node = _parse_comp(ts)
-    while ts.take("*"):
-        node = Convolution(node, _parse_comp(ts))
-    return node
+    return _chain(ts, _parse_comp, {"*": Convolution})
 
 
 def _parse_comp(ts):
-    node = _parse_power(ts)
-    while ts.take("compose"):
-        node = Composition(node, _parse_power(ts))
-    return node
+    return _chain(ts, _parse_power, {"compose": Composition})
 
 
 def _parse_power(ts):
-    node = _parse_atom(ts)
-    if ts.take("^"):
+    node, depth = _parse_atom(ts)
+    caret = ts.take("^")
+    if caret:
         conv_flavor = ts.take("*") is not None
         kind, value, pos = ts.peek()
         if kind != "nat":
             raise ParseError("exponent must be a natural number", pos)
         ts.next()
         node = ConvPower(node, value) if conv_flavor else CompPower(node, value)
-    return node
+        depth = _bounded(depth + 1, caret[2])
+    return node, depth
 
 
 def _parse_rational(ts):
@@ -270,36 +245,41 @@ def _parse_rational(ts):
 
 
 def _parse_atom(ts):
-    kind, value, pos = ts.peek()
+    """An atom after any scalar prefixes, which are read in a loop."""
+    scalars = []
+    while ts.peek()[0] in ("-", "nat"):
+        pos = ts.peek()[2]
+        if ts.take("-"):
+            if ts.peek()[0] != "nat":
+                raise ParseError("expected a number after '-'", ts.peek()[2])
+            scalars.append((-_parse_rational(ts), pos))
+        else:
+            scalars.append((_parse_rational(ts), pos))
+    node, depth = _parse_primary(ts)
+    for coeff, pos in reversed(scalars):
+        node = ScalarMul(coeff, node)
+        depth = _bounded(depth + 1, pos)
+    return node, depth
+
+
+def _parse_primary(ts):
+    kind, value, pos = ts.next()
     if kind == "proj":
-        ts.next()
-        return Proj(value)
+        return Proj(value), 1
     if kind == "id":
-        ts.next()
-        return Id()
+        return Id(), 1
     if kind == "antipode":
-        ts.next()
-        return Antipode()
+        return Antipode(), 1
     if kind == "counit_unit":
-        ts.next()
-        return CounitUnit()
+        return CounitUnit(), 1
     if kind == "basis":
-        ts.next()
-        return Basis(*comb.reduce_pair(*value))
+        return Basis(*comb.reduce_pair(*value)), 1
     if kind == "(":
-        ts.next()
+        ts.open_parens = _bounded(ts.open_parens + 1, pos)
         node = _parse_sum(ts)
         ts.expect(")", "a closing parenthesis")
+        ts.open_parens -= 1
         return node
-    if kind == "-":
-        ts.next()
-        if ts.peek()[0] != "nat":
-            raise ParseError("expected a number after '-'", ts.peek()[2])
-        coeff = -_parse_rational(ts)
-        return ScalarMul(coeff, _parse_atom(ts))
-    if kind == "nat":
-        coeff = _parse_rational(ts)
-        return ScalarMul(coeff, _parse_atom(ts))
     raise ParseError("expected an operator expression", pos)
 
 
@@ -370,15 +350,9 @@ def _print_raw(e):
 # expansion
 
 
-def _budget_degree(budget):
-    if isinstance(budget, ExpansionBudget):
-        return budget.max_degree
-    return int(budget)
-
-
 def _truncate(f, m):
     return core.PnsymElement(
-        {key: c for key, c in f.terms.items() if comb.size(key[0]) <= m}
+        {key: c for key, c in f.terms.items() if sum(key[0]) <= m}
     )
 
 
@@ -399,9 +373,8 @@ def _expand_antipode(m):
     return core.PnsymElement(out)
 
 
-def expand(e, budget):
-    """Expansion of an operator expression, truncated to the budget degree."""
-    m = _budget_degree(budget)
+def expand(e, m):
+    """Expansion of an operator expression, truncated to degree ``m``."""
     if m < 0:
         raise ValueError("budget must be nonnegative")
     return _expand(e, m)
@@ -423,11 +396,11 @@ def _expand(e, m):
     if isinstance(e, Basis):
         return _truncate(core.from_weak_term(1, (e.alpha, e.sigma)), m)
     if isinstance(e, ScalarMul):
-        return core.scale(e.coeff, _expand(e.body, m))
+        return e.coeff * _expand(e.body, m)
     if isinstance(e, Sum):
-        return core.add(_expand(e.left, m), _expand(e.right, m))
+        return _expand(e.left, m) + _expand(e.right, m)
     if isinstance(e, Difference):
-        return core.add(_expand(e.left, m), core.scale(-1, _expand(e.right, m)))
+        return _expand(e.left, m) - _expand(e.right, m)
     if isinstance(e, Convolution):
         return _truncate(core.external_mul(_expand(e.left, m), _expand(e.right, m)), m)
     if isinstance(e, Composition):
@@ -451,19 +424,16 @@ def _expand(e, m):
     raise TypeError(f"not an operator expression: {e!r}")
 
 
-def identity_inverse_series(budget):
+def identity_inverse_series(m):
     """Convolution inverse of the identity expansion, degree by degree.
 
     Independent route to the antipode expansion: solve s * (unit + rest) =
     unit iteratively, gaining one exact degree per pass.
     """
-    m = _budget_degree(budget)
-    rest = core.add(_expand_id(m), core.scale(-1, core.UNIT))
+    rest = _expand_id(m) - core.UNIT
     series = core.UNIT
     for _ in range(m):
-        series = core.add(
-            core.UNIT, core.scale(-1, _truncate(core.external_mul(series, rest), m))
-        )
+        series = core.UNIT - _truncate(core.external_mul(series, rest), m)
     return series
 
 
@@ -500,9 +470,8 @@ def k_value(i, j, k_max):
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    bracket = core.add(
-        core.from_weak_term(1, ((i, j), (1, 2))),
-        core.from_weak_term(-1, ((j, i), (1, 2))),
+    bracket = core.from_weak_term(1, ((i, j), (1, 2))) - core.from_weak_term(
+        1, ((j, i), (1, 2))
     )
     power = bracket
     for k in range(1, k_max + 1):

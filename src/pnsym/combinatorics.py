@@ -20,11 +20,6 @@ import itertools
 # weak compositions
 
 
-def size(alpha):
-    """Sum of the entries of a weak composition."""
-    return sum(alpha)
-
-
 def concat(alpha, beta):
     """Concatenation of two weak compositions."""
     return tuple(alpha) + tuple(beta)
@@ -209,7 +204,7 @@ def is_reduced(alpha, sigma):
 
 
 def mopiscotions(n):
-    """All mopiscotions (alpha, sigma) with size(alpha) == n.
+    """All mopiscotions (alpha, sigma) with sum(alpha) == n.
 
     Ordered by length of alpha, then lexicographically on alpha, then on
     sigma's one-line form.
@@ -275,8 +270,7 @@ def transpose(table):
 
 # ---------------------------------------------------------------------------
 # text forms: composition "(3,0,1,2,0)", permutation "[4,5,1,3,2]",
-# mopiscotion "((3,1,2);[3,1,2])" -- printed with no spaces, parsed with
-# arbitrary whitespace
+# mopiscotion "((3,1,2);[3,1,2])" -- printed with no spaces; read by Scanner
 
 
 def format_composition(alpha):
@@ -300,38 +294,107 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _strip(text):
-    return "".join(text.split())
+class Scanner:
+    """Left-to-right reader of text forms; ``pos`` is an offset into ``text``.
+
+    Whitespace may separate tokens but never splits a number, and digits are
+    ASCII ``0``-``9`` only.  Errors about one character point at it; errors
+    about a whole list point at the list's opening bracket.
+    """
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        """The next character after any whitespace, or "" at the end."""
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos:self.pos + 1]
+
+    def at_end(self):
+        return self.peek() == ""
+
+    def mark(self):
+        """The offset of the next token, after any whitespace."""
+        self.peek()
+        return self.pos
+
+    def at_digit(self):
+        """Is the character at ``pos`` itself (no whitespace skipped) a digit?"""
+        return "0" <= self.text[self.pos:self.pos + 1] <= "9"
+
+    def take(self, char):
+        if self.peek() != char:
+            raise ParseError(f"expected {char!r}", self.pos)
+        self.pos += 1
+
+    def natural(self):
+        start = self.mark()
+        while self.at_digit():
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError("expected a nonnegative integer", start)
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # past the interpreter's digit limit
+            raise ParseError("number too long", start) from None
+
+    def _int_list(self, opener, closer):
+        self.take(opener)
+        out = []
+        if self.peek() != closer:
+            out.append(self.natural())
+            while self.peek() == ",":
+                self.pos += 1
+                out.append(self.natural())
+        self.take(closer)
+        return tuple(out)
+
+    def composition(self):
+        """Read "(3,0,1,2,0)" as a weak composition."""
+        return self._int_list("(", ")")
+
+    def permutation(self):
+        """Read "[4,5,1,3,2]" as a permutation in one-line notation."""
+        start = self.mark()
+        sigma = self._int_list("[", "]")
+        if not is_permutation(sigma):
+            raise ParseError(
+                f"{format_permutation(sigma)} is not a permutation of 1..{len(sigma)}",
+                start,
+            )
+        return sigma
+
+    def pair(self):
+        """Read "((3,1,2);[3,1,2])"; weak entries are accepted."""
+        self.take("(")
+        alpha = self.composition()
+        self.take(";")
+        start = self.mark()
+        sigma = self.permutation()
+        if len(alpha) != len(sigma):
+            raise ParseError("composition and permutation lengths differ", start)
+        self.take(")")
+        return alpha, sigma
 
 
-def _parse_int_list(body, opener, start):
-    if not body:
-        return ()
-    out = []
-    for piece in body.split(","):
-        if not piece.isdigit():
-            raise ParseError(f"expected a nonnegative integer, got {piece!r}", start)
-        out.append(int(piece))
-    return tuple(out)
+def _parse_whole(text, read):
+    sc = Scanner(text)
+    value = read(sc)
+    if not sc.at_end():
+        raise ParseError("trailing input", sc.pos)
+    return value
 
 
 def parse_composition(text):
     """Parse "(3,0,1,2,0)" into a weak composition (negatives rejected)."""
-    s = _strip(text)
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ParseError("weak composition must look like (a,b,...)", 0)
-    return _parse_int_list(s[1:-1], "(", 1)
+    return _parse_whole(text, Scanner.composition)
 
 
 def parse_permutation(text):
     """Parse "[4,5,1,3,2]" into a permutation tuple."""
-    s = _strip(text)
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ParseError("permutation must look like [s1,s2,...]", 0)
-    images = _parse_int_list(s[1:-1], "[", 1)
-    if not is_permutation(images):
-        raise ParseError(f"{s} is not a permutation of 1..{len(images)}", 1)
-    return images
+    return _parse_whole(text, Scanner.permutation)
 
 
 def parse_pair(text):
@@ -339,15 +402,4 @@ def parse_pair(text):
 
     Weak entries are accepted; the caller decides whether to reduce.
     """
-    s = _strip(text)
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ParseError("mopiscotion must look like ((..);[..])", 0)
-    body = s[1:-1]
-    if ";" not in body:
-        raise ParseError("mopiscotion needs a ';' between composition and permutation", 1)
-    comp_text, perm_text = body.split(";", 1)
-    alpha = parse_composition(comp_text)
-    sigma = parse_permutation(perm_text)
-    if len(alpha) != len(sigma):
-        raise ParseError("composition and permutation lengths differ", 1)
-    return alpha, sigma
+    return _parse_whole(text, Scanner.pair)

@@ -23,10 +23,6 @@ from . import combinatorics as comb
 EMPTY_KEY = ((), ())
 
 
-def _normalized(terms):
-    return {key: c for key, c in terms.items() if c}
-
-
 def key_sort_key(key):
     """Canonical order: degree, then alpha lexicographically, then sigma.
 
@@ -37,45 +33,56 @@ def key_sort_key(key):
     return (sum(alpha), alpha, sigma)
 
 
-class PnsymElement:
-    """A finite rational combination of mopiscotion basis keys."""
+class _Combination:
+    """A finite rational combination of hashable keys, zero terms dropped.
+
+    Equality is type-strict: combinations of different kinds never compare
+    equal, even when both are zero.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = _normalized(terms or {})
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
 
     def __eq__(self, other):
-        return isinstance(other, PnsymElement) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)
 
     def __add__(self, other):
-        return add(self, other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, Fraction(0)) + c
+        return type(self)(terms)
 
     def __sub__(self, other):
-        return add(self, scale(-1, other))
+        return self + (-1) * other
 
     def __neg__(self):
-        return scale(-1, self)
+        return (-1) * self
 
     def __rmul__(self, c):
-        return scale(c, self)
+        c = Fraction(c)
+        return type(self)({key: c * v for key, v in self.terms.items()})
+
+
+class PnsymElement(_Combination):
+    """A finite rational combination of mopiscotion basis keys."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, PnsymElement):
             return external_mul(self, other)
-        return scale(other, self)
+        return self.__rmul__(other)
 
     def __repr__(self):
         return format_element(self)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: key_sort_key(kv[0]))
-
-    def degrees(self):
-        return sorted({sum(alpha) for alpha, _ in self.terms})
 
 
 ZERO = PnsymElement()
@@ -97,24 +104,6 @@ def from_weak_term(coeff, pair):
 
 def basis(alpha, sigma):
     return from_weak_term(1, (tuple(alpha), tuple(sigma)))
-
-
-def add(f, g):
-    terms = dict(f.terms)
-    for key, c in g.terms.items():
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return PnsymElement(terms)
-
-
-def scale(c, f):
-    c = Fraction(c)
-    if not c:
-        return ZERO
-    return PnsymElement({key: c * v for key, v in f.terms.items()})
-
-
-def equals(f, g):
-    return f.terms == g.terms
 
 
 def external_mul(f, g):
@@ -162,32 +151,10 @@ def counit(f):
 # coproduct and tensors
 
 
-class PnsymTensor:
+class PnsymTensor(_Combination):
     """Rational combination of ordered pairs of mopiscotion keys."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = _normalized(terms or {})
-
-    def __eq__(self, other):
-        return isinstance(other, PnsymTensor) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return PnsymTensor(terms)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        c = Fraction(c)
-        return PnsymTensor({key: c * v for key, v in self.terms.items()})
+    __slots__ = ()
 
     def __repr__(self):
         return format_tensor(self)
@@ -226,34 +193,18 @@ def coproduct(f):
     return PnsymTensor(terms)
 
 
-def tensor_external_mul(s, t):
-    """Leg-wise external product of two tensors."""
-    terms = {}
+def tensor_mul(product, s, t):
+    """Leg-wise product of two tensors.
+
+    ``product`` multiplies elements; (a # b)(c # d) = product(a, c) # product(b, d).
+    """
+    out = PnsymTensor()
     for (a1, a2), c in s.terms.items():
         for (b1, b2), d in t.terms.items():
-            left = external_mul(PnsymElement({a1: Fraction(1)}), PnsymElement({b1: Fraction(1)}))
-            right = external_mul(PnsymElement({a2: Fraction(1)}), PnsymElement({b2: Fraction(1)}))
-            cd = c * d
-            for k1, e1 in left.terms.items():
-                for k2, e2 in right.terms.items():
-                    key = (k1, k2)
-                    terms[key] = terms.get(key, Fraction(0)) + cd * e1 * e2
-    return PnsymTensor(terms)
-
-
-def tensor_internal_mul(s, t):
-    """Leg-wise internal product of two tensors."""
-    terms = {}
-    for (a1, a2), c in s.terms.items():
-        for (b1, b2), d in t.terms.items():
-            left = internal_mul(PnsymElement({a1: Fraction(1)}), PnsymElement({b1: Fraction(1)}))
-            right = internal_mul(PnsymElement({a2: Fraction(1)}), PnsymElement({b2: Fraction(1)}))
-            cd = c * d
-            for k1, e1 in left.terms.items():
-                for k2, e2 in right.terms.items():
-                    key = (k1, k2)
-                    terms[key] = terms.get(key, Fraction(0)) + cd * e1 * e2
-    return PnsymTensor(terms)
+            left = product(PnsymElement({a1: Fraction(1)}), PnsymElement({b1: Fraction(1)}))
+            right = product(PnsymElement({a2: Fraction(1)}), PnsymElement({b2: Fraction(1)}))
+            out = out + (c * d) * tensor_of(left, right)
+    return out
 
 
 def antipode(f):
@@ -267,14 +218,14 @@ def antipode(f):
     memo = {}
     out = {}
     for key, c in f.terms.items():
-        for k2, d in _antipode_key(key, memo).items():
+        for k2, d in _antipode_key(key, memo).terms.items():
             out[k2] = out.get(k2, Fraction(0)) + c * d
     return PnsymElement(out)
 
 
 def _antipode_key(key, memo):
     if key == EMPTY_KEY:
-        return {EMPTY_KEY: Fraction(1)}
+        return UNIT
     if key in memo:
         return memo[key]
     alpha, sigma = key
@@ -285,12 +236,10 @@ def _antipode_key(key, memo):
         left = comb.reduce_pair(beta, sigma)
         right = comb.reduce_pair(gamma, sigma)
         s_left = _antipode_key(left, memo)
-        prod = external_mul(
-            PnsymElement(dict(s_left)), PnsymElement({right: Fraction(1)})
-        )
+        prod = external_mul(s_left, PnsymElement({right: Fraction(1)}))
         for k2, d in prod.terms.items():
             acc[k2] = acc.get(k2, Fraction(0)) - d
-    result = _normalized(acc)
+    result = PnsymElement(acc)
     memo[key] = result
     return result
 
@@ -305,7 +254,7 @@ def convolve_maps(phi, psi, f):
     for (k1, k2), c in coproduct(f).terms.items():
         left = phi(PnsymElement({k1: Fraction(1)}))
         right = psi(PnsymElement({k2: Fraction(1)}))
-        out = add(out, scale(c, external_mul(left, right)))
+        out = out + c * external_mul(left, right)
     return out
 
 
@@ -331,32 +280,10 @@ def basis_keys(n):
 # classical NSym (reduced feature set, for cross-checks)
 
 
-class NsymElement:
+class NsymElement(_Combination):
     """Rational combination of composition keys ``H_alpha``."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = _normalized(terms or {})
-
-    def __eq__(self, other):
-        return isinstance(other, NsymElement) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return NsymElement(terms)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        c = Fraction(c)
-        return NsymElement({key: c * v for key, v in self.terms.items()})
+    __slots__ = ()
 
     def __repr__(self):
         if not self.terms:
@@ -491,105 +418,47 @@ def tensor_to_json(t):
     ]
 
 
-class _Cursor:
-    """Minimal scanner; whitespace is skipped between tokens."""
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, char):
-        if self.peek() != char:
-            raise comb.ParseError(f"expected {char!r}", self.pos)
-        self.pos += 1
-
-    def at_end(self):
-        return self.peek() == ""
-
-    def natural(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise comb.ParseError("expected a number", start)
-        return int(self.text[start:self.pos])
-
-    def rational(self):
-        num = self.natural()
-        if self.peek() == "/":
-            self.take("/")
-            den = self.natural()
-            if den == 0:
-                raise comb.ParseError("zero denominator", self.pos)
-            return Fraction(num, den)
+def _rational(sc):
+    num = sc.natural()
+    if sc.peek() != "/":
         return Fraction(num)
-
-
-def _scan_key(cur):
-    """Read an F((..);[..]) key starting at the 'F'."""
-    cur.skip_ws()
-    if cur.peek() != "F":
-        raise comb.ParseError("expected 'F'", cur.pos)
-    cur.pos += 1
-    cur.skip_ws()
-    if cur.peek() != "(":
-        raise comb.ParseError("expected '(' after F", cur.pos)
-    start = cur.pos
-    depth = 0
-    while cur.pos < len(cur.text):
-        ch = cur.text[cur.pos]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                cur.pos += 1
-                return comb.parse_pair(cur.text[start:cur.pos])
-        cur.pos += 1
-    raise comb.ParseError("unbalanced parentheses in basis key", start)
+    sc.take("/")
+    start = sc.mark()
+    den = sc.natural()
+    if den == 0:
+        raise comb.ParseError("zero denominator", start)
+    return Fraction(num, den)
 
 
 def parse_element(text):
     """Parse the element format, e.g. "3/2*F((1,2);[2,1]) - F((3);[1])".
 
     Weak keys are accepted and reduced on ingest; "0" denotes the zero
-    element; whitespace is ignored everywhere.
+    element.  Whitespace may separate tokens but not split a number (see
+    :class:`pnsym.combinatorics.Scanner`).
     """
-    cur = _Cursor(text)
-    if cur.peek() == "0":
-        mark = cur.pos
-        cur.pos += 1
-        if cur.at_end():
-            return ZERO
-        cur.pos = mark
+    if text.strip() == "0":
+        return ZERO
+    sc = comb.Scanner(text)
     result = ZERO
     first = True
     while True:
         sign = 1
-        ch = cur.peek()
+        ch = sc.peek()
         if ch == "+" and not first:
-            cur.take("+")
+            sc.take("+")
         elif ch == "-":
-            cur.take("-")
+            sc.take("-")
             sign = -1
         elif not first:
-            raise comb.ParseError("expected '+' or '-' between terms", cur.pos)
+            raise comb.ParseError("expected '+' or '-' between terms", sc.pos)
         coeff = Fraction(1)
-        if cur.peek().isdigit():
-            coeff = cur.rational()
-            if cur.peek() == "*":
-                cur.take("*")
-        pair = _scan_key(cur)
-        result = add(result, from_weak_term(sign * coeff, pair))
+        if sc.peek() and sc.at_digit():
+            coeff = _rational(sc)
+            if sc.peek() == "*":
+                sc.take("*")
+        sc.take("F")
+        result = result + from_weak_term(sign * coeff, sc.pair())
         first = False
-        if cur.at_end():
+        if sc.at_end():
             return result

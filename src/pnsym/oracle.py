@@ -35,57 +35,24 @@ def word_degree(word):
 
 
 class FreeElement:
-    """Rational combination of words."""
+    """Rational combination of words.
+
+    The arithmetic here is kept apart from :mod:`pnsym.core` on purpose:
+    the oracle is the reference the core is checked against.
+    """
 
     __slots__ = ("terms",)
+    arity = None
 
     def __init__(self, terms=None):
         self.terms = {w: c for w, c in (terms or {}).items() if c}
 
-    def __eq__(self, other):
-        return isinstance(other, FreeElement) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
+    def _like(self, terms):
         return FreeElement(terms)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        c = Fraction(c)
-        return FreeElement({w: c * v for w, v in self.terms.items()})
-
-    def __repr__(self):
-        return format_free_element(self)
-
-
-class FreeTensor:
-    """Rational combination of arity-k tuples of words.
-
-    The arity is part of the value; mixing arities is an error rather than
-    a coercion.
-    """
-
-    __slots__ = ("arity", "terms")
-
-    def __init__(self, arity, terms=None):
-        self.arity = arity
-        self.terms = {}
-        for legs, c in (terms or {}).items():
-            if len(legs) != arity:
-                raise ValueError(f"expected {arity} legs, got {len(legs)}")
-            if c:
-                self.terms[legs] = c
 
     def __eq__(self, other):
         return (
-            isinstance(other, FreeTensor)
+            type(other) is type(self)
             and self.arity == other.arity
             and self.terms == other.terms
         )
@@ -97,16 +64,44 @@ class FreeTensor:
         if self.arity != other.arity:
             raise ValueError("cannot add tensors of different arities")
         terms = dict(self.terms)
-        for legs, c in other.terms.items():
-            terms[legs] = terms.get(legs, Fraction(0)) + c
-        return FreeTensor(self.arity, terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, Fraction(0)) + c
+        return self._like(terms)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, c):
         c = Fraction(c)
-        return FreeTensor(self.arity, {k: c * v for k, v in self.terms.items()})
+        return self._like({key: c * v for key, v in self.terms.items()})
+
+    def __repr__(self):
+        return format_free_element(self)
+
+
+class FreeTensor(FreeElement):
+    """Rational combination of arity-k tuples of words.
+
+    The arity is part of the value; mixing arities is an error rather than
+    a coercion.
+    """
+
+    __slots__ = ("arity",)
+
+    def __init__(self, arity, terms=None):
+        self.arity = arity
+        self.terms = {}
+        for legs, c in (terms or {}).items():
+            if len(legs) != arity:
+                raise ValueError(f"expected {arity} legs, got {len(legs)}")
+            if c:
+                self.terms[legs] = c
+
+    def _like(self, terms):
+        return FreeTensor(self.arity, terms)
+
+    def __repr__(self):
+        return f"FreeTensor({self.arity}, {self.terms!r})"
 
 
 def element(word, coeff=1):

@@ -11,9 +11,7 @@ time through :func:`run_family`, which the test suite uses to push individual
 families beyond the default bounds.
 """
 
-import concurrent.futures
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,7 +171,7 @@ def _fam_composition_expansion(cfg):
     gens = _generator_elements(model)
     strict = _mopiscotions_up_to(cfg.max_size)
     for (a, s), (b, t) in itertools.product(strict, strict):
-        if comb.size(a) != comb.size(b):
+        if sum(a) != sum(b):
             continue
         expansion = core.internal_mul(core.basis(a, s), core.basis(b, t))
         for gname, x in gens:
@@ -183,7 +181,7 @@ def _fam_composition_expansion(cfg):
     # weak keys, through from_weak_term (reduction on ingest)
     weak = _weak_pairs_up_to(max(cfg.max_size - 1, 0), cfg.max_size)
     for (a, s), (b, t) in itertools.product(weak, weak):
-        if comb.size(a) != comb.size(b):
+        if sum(a) != sum(b):
             continue
         expansion = core.internal_mul(
             core.from_weak_term(1, (a, s)), core.from_weak_term(1, (b, t))
@@ -248,7 +246,7 @@ def _fam_degree_projection(cfg):
         homogeneous.append(("x(1,2)x(3,4)", element(((1, 2), (3, 4)))))
         homogeneous.append(("x(1,2)x(2,3)x(3,4)", element(((1, 2), (2, 3), (3, 4)))))
     for alpha, sigma in _mopiscotions_up_to(cfg.max_size):
-        n = comb.size(alpha)
+        n = sum(alpha)
         for hname, x in homogeneous:
             degree = oracle.word_degree(next(iter(x.terms)))
             image = oracle.apply_pas(model, alpha, sigma, x)
@@ -483,16 +481,6 @@ FAMILIES = {
 }
 
 
-def worker_count(env=None):
-    """Worker cap from PNSYM_THREADS; 0, unset, or garbage mean 1."""
-    raw = (env or os.environ).get("PNSYM_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return n if n > 0 else 1
-
-
 def run_family(name, model_size=4, max_size=3):
     cfg = VerifyConfig(model_size=model_size, max_size=max_size)
     cases = 0
@@ -507,17 +495,11 @@ def run_family(name, model_size=4, max_size=3):
     return FamilyResult(name, cases, failures, tuple(examples))
 
 
-def run_all(model_size=4, max_size=3, threads=None, names=None):
-    """Run the named families (all by default), sharded across workers."""
+def run_all(model_size=4, max_size=3, names=None):
+    """Run the named families (all by default), in order."""
     if names is None:
         names = list(FAMILIES)
-    if threads is None:
-        threads = worker_count()
-    if threads <= 1:
-        return [run_family(n, model_size, max_size) for n in names]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {n: pool.submit(run_family, n, model_size, max_size) for n in names}
-        return [futures[n].result() for n in names]
+    return [run_family(n, model_size, max_size) for n in names]
 
 
 def format_report(results):

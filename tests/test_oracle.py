@@ -256,7 +256,7 @@ def test_projection_convolution_frozen_values():
 # acting by an element of the algebra --------------------------------------------
 
 def test_evaluate_acts_termwise():
-    f = core.add(F_basis((1, 1), (1, 2)), F_basis((2,), (1,)))
+    f = F_basis((1, 1), (1, 2)) + F_basis((2,), (1,))
     assert oracle.evaluate_pnsym(T3, f, x13) == oracle.element(
         ((1, 2), (2, 3))
     ) + x13
@@ -268,7 +268,7 @@ def test_evaluate_unit_kills_positive_degree():
 
 
 def test_evaluate_respects_coefficients():
-    f = core.scale(Fraction(3, 2), F_basis((1,), (1,)))
+    f = Fraction(3, 2) * F_basis((1,), (1,))
     assert oracle.evaluate_pnsym(T3, f, x12) == Fraction(3, 2) * x12
 
 

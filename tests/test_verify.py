@@ -1,4 +1,4 @@
-"""The verification driver: family enumeration, reports, worker policy."""
+"""The verification driver: family enumeration and reports."""
 
 import pytest
 
@@ -40,26 +40,11 @@ def test_run_all_honors_the_name_filter():
     assert [r.name for r in results] == picked
 
 
-def test_threaded_run_matches_serial_run():
+def test_run_all_matches_per_family_runs():
+    # one request per family does the same work as one run over the names
     names = ["degree-projection", "iterated-product-merge", "distinct-images"]
-    serial = verify.run_all(model_size=3, max_size=2, threads=1, names=names)
-    sharded = verify.run_all(model_size=3, max_size=2, threads=4, names=names)
-    assert serial == sharded
-
-
-def test_worker_count_policy():
-    assert verify.worker_count({}) == 1
-    assert verify.worker_count({"PNSYM_THREADS": "0"}) == 1
-    assert verify.worker_count({"PNSYM_THREADS": "-2"}) == 1
-    assert verify.worker_count({"PNSYM_THREADS": "three"}) == 1
-    assert verify.worker_count({"PNSYM_THREADS": "3"}) == 3
-
-
-def test_worker_count_reads_the_environment(monkeypatch):
-    monkeypatch.setenv("PNSYM_THREADS", "5")
-    assert verify.worker_count() == 5
-    monkeypatch.delenv("PNSYM_THREADS")
-    assert verify.worker_count() == 1
+    whole = verify.run_all(model_size=3, max_size=2, names=names)
+    assert whole == [verify.run_family(n, 3, 2) for n in names]
 
 
 def test_format_report():
