@@ -22,7 +22,11 @@ from .combinatorics import ParseError
 
 
 # ---------------------------------------------------------------------------
-# syntax trees
+# syntax trees.  Subclasses inherit their base's frozen dataclass methods;
+# dataclass equality compares classes exactly, so Sum(a, b) != Difference(a, b).
+
+# binding levels, loosest first; the parser and the printer both read them
+_LEVEL_SUM, _LEVEL_CONV, _LEVEL_COMP, _LEVEL_POWER, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
 
 @dataclass(frozen=True)
@@ -31,18 +35,23 @@ class Proj:
 
 
 @dataclass(frozen=True)
-class Id:
-    pass
+class _Named:
+    """An operator written as a bare name."""
 
 
-@dataclass(frozen=True)
-class Antipode:
-    pass
+class Id(_Named):
+    name = "id"
 
 
-@dataclass(frozen=True)
-class CounitUnit:
-    pass
+class Antipode(_Named):
+    name = "S"
+
+
+class CounitUnit(_Named):
+    name = "ue"
+
+
+_NAMED = {cls.name: cls for cls in (Id, Antipode, CounitUnit)}
 
 
 @dataclass(frozen=True)
@@ -58,39 +67,44 @@ class ScalarMul:
 
 
 @dataclass(frozen=True)
-class Sum:
+class _Binary:
+    """A left-associative infix operator: ``left symbol right``."""
+
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Difference:
-    left: object
-    right: object
+class Sum(_Binary):
+    symbol, level = "+", _LEVEL_SUM
+
+
+class Difference(_Binary):
+    symbol, level = "-", _LEVEL_SUM
+
+
+class Convolution(_Binary):
+    symbol, level = "*", _LEVEL_CONV
+
+
+class Composition(_Binary):
+    symbol, level = "o", _LEVEL_COMP
 
 
 @dataclass(frozen=True)
-class Convolution:
-    left: object
-    right: object
+class _Power:
+    """``body`` raised to a natural ``exponent``: ``body symbol exponent``."""
 
-
-@dataclass(frozen=True)
-class Composition:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class CompPower:
     body: object
     exponent: int
+    level = _LEVEL_POWER
 
 
-@dataclass(frozen=True)
-class ConvPower:
-    body: object
-    exponent: int
+class CompPower(_Power):
+    symbol = "^"
+
+
+class ConvPower(_Power):
+    symbol = "^*"
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +123,10 @@ def _tokens(text):
             while sc.pos < len(text) and text[sc.pos].isalpha():
                 sc.pos += 1
             run = text[pos:sc.pos]
-            if run == "o":
-                yield "compose", None, pos
-            elif run == "id":
-                yield "id", None, pos
-            elif run == "S":
-                yield "antipode", None, pos
-            elif run == "ue":
-                yield "counit_unit", None, pos
+            if run in _NAMED:
+                yield "named", _NAMED[run], pos
+            elif run == Composition.symbol:
+                yield run, None, pos
             elif run == "p" and sc.at_digit():
                 yield "proj", sc.natural(), pos
             elif run == "F":
@@ -176,6 +186,13 @@ def _bounded(depth, pos):
 # unary minus, then + and -; scalars bind like atoms (juxtaposition).  Each
 # level returns (node, depth of node).
 
+# per binding level, the binary node classes by their token
+_JOINS = {
+    level: {cls.symbol: cls for cls in (Sum, Difference, Convolution, Composition)
+            if cls.level == level}
+    for level in (_LEVEL_SUM, _LEVEL_CONV, _LEVEL_COMP)
+}
+
 
 def parse(text):
     ts = _TokenStream(text)
@@ -206,27 +223,27 @@ def _parse_sum(ts):
             first = ScalarMul(-node.coeff, node.body), depth
         else:
             first = ScalarMul(Fraction(-1), node), _bounded(depth + 1, minus[2])
-    return _chain(ts, _parse_conv, {"+": Sum, "-": Difference}, first)
+    return _chain(ts, _parse_conv, _JOINS[_LEVEL_SUM], first)
 
 
 def _parse_conv(ts):
-    return _chain(ts, _parse_comp, {"*": Convolution})
+    return _chain(ts, _parse_comp, _JOINS[_LEVEL_CONV])
 
 
 def _parse_comp(ts):
-    return _chain(ts, _parse_power, {"compose": Composition})
+    return _chain(ts, _parse_power, _JOINS[_LEVEL_COMP])
 
 
 def _parse_power(ts):
     node, depth = _parse_atom(ts)
     caret = ts.take("^")
     if caret:
-        conv_flavor = ts.take("*") is not None
+        power = ConvPower if ts.take("*") else CompPower
         kind, value, pos = ts.peek()
         if kind != "nat":
             raise ParseError("exponent must be a natural number", pos)
         ts.next()
-        node = ConvPower(node, value) if conv_flavor else CompPower(node, value)
+        node = power(node, value)
         depth = _bounded(depth + 1, caret[2])
     return node, depth
 
@@ -266,12 +283,8 @@ def _parse_primary(ts):
     kind, value, pos = ts.next()
     if kind == "proj":
         return Proj(value), 1
-    if kind == "id":
-        return Id(), 1
-    if kind == "antipode":
-        return Antipode(), 1
-    if kind == "counit_unit":
-        return CounitUnit(), 1
+    if kind == "named":
+        return value(), 1
     if kind == "basis":
         return Basis(*comb.reduce_pair(*value)), 1
     if kind == "(":
@@ -286,28 +299,13 @@ def _parse_primary(ts):
 # ---------------------------------------------------------------------------
 # printing (round-trips through parse up to tree equality)
 
-_LEVEL_SUM, _LEVEL_CONV, _LEVEL_COMP, _LEVEL_POWER, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(e):
-    if isinstance(e, (Sum, Difference)):
-        return _LEVEL_SUM
-    if isinstance(e, Convolution):
-        return _LEVEL_CONV
-    if isinstance(e, Composition):
-        return _LEVEL_COMP
-    if isinstance(e, (CompPower, ConvPower)):
-        return _LEVEL_POWER
-    return _LEVEL_ATOM
-
-
 def to_text(e):
     return _print(e, _LEVEL_SUM)
 
 
 def _print(e, min_level):
     text = _print_raw(e)
-    needs_parens = _level(e) < min_level or (
+    needs_parens = getattr(e, "level", _LEVEL_ATOM) < min_level or (
         # a bare leading minus would re-associate at the sum level
         isinstance(e, ScalarMul)
         and e.coeff < 0
@@ -321,28 +319,16 @@ def _print(e, min_level):
 def _print_raw(e):
     if isinstance(e, Proj):
         return f"p{e.n}"
-    if isinstance(e, Id):
-        return "id"
-    if isinstance(e, Antipode):
-        return "S"
-    if isinstance(e, CounitUnit):
-        return "ue"
+    if isinstance(e, _Named):
+        return e.name
     if isinstance(e, Basis):
         return "F" + comb.format_pair(e.alpha, e.sigma)
     if isinstance(e, ScalarMul):
         return f"{e.coeff} {_print(e.body, _LEVEL_ATOM)}"
-    if isinstance(e, Sum):
-        return f"{_print(e.left, _LEVEL_SUM)} + {_print(e.right, _LEVEL_CONV)}"
-    if isinstance(e, Difference):
-        return f"{_print(e.left, _LEVEL_SUM)} - {_print(e.right, _LEVEL_CONV)}"
-    if isinstance(e, Convolution):
-        return f"{_print(e.left, _LEVEL_CONV)} * {_print(e.right, _LEVEL_COMP)}"
-    if isinstance(e, Composition):
-        return f"{_print(e.left, _LEVEL_COMP)} o {_print(e.right, _LEVEL_POWER)}"
-    if isinstance(e, CompPower):
-        return f"{_print(e.body, _LEVEL_ATOM)}^{e.exponent}"
-    if isinstance(e, ConvPower):
-        return f"{_print(e.body, _LEVEL_ATOM)}^*{e.exponent}"
+    if isinstance(e, _Binary):
+        return f"{_print(e.left, e.level)} {e.symbol} {_print(e.right, e.level + 1)}"
+    if isinstance(e, _Power):
+        return f"{_print(e.body, _LEVEL_ATOM)}{e.symbol}{e.exponent}"
     raise TypeError(f"not an operator expression: {e!r}")
 
 
@@ -371,6 +357,21 @@ def _expand_antipode(m):
             sign = -1 if len(alpha) % 2 else 1
             out[(alpha, comb.identity(len(alpha)))] = Fraction(sign)
     return core.PnsymElement(out)
+
+
+def _power(base, exponent, mul):
+    """``base`` multiplied by itself under ``mul``, ``exponent >= 1`` times.
+
+    Stops as soon as one more product leaves the power unchanged: each step
+    multiplies by the same base, so from then on the power stays the same.
+    """
+    power = base
+    for _ in range(exponent - 1):
+        following = mul(power, base)
+        if following == power:
+            break
+        power = following
+    return power
 
 
 def expand(e, m):
@@ -408,19 +409,15 @@ def _expand(e, m):
     if isinstance(e, CompPower):
         if e.exponent == 0:
             return _expand_id(m)
-        base = _expand(e.body, m)
-        out = base
-        for _ in range(e.exponent - 1):
-            out = core.internal_mul(out, base)
-        return out
+        return _power(_expand(e.body, m), e.exponent, core.internal_mul)
     if isinstance(e, ConvPower):
         if e.exponent == 0:
             return core.UNIT
-        base = _expand(e.body, m)
-        out = base
-        for _ in range(e.exponent - 1):
-            out = _truncate(core.external_mul(out, base), m)
-        return out
+        return _power(
+            _expand(e.body, m),
+            e.exponent,
+            lambda f, g: _truncate(core.external_mul(f, g), m),
+        )
     raise TypeError(f"not an operator expression: {e!r}")
 
 

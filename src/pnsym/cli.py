@@ -36,91 +36,52 @@ def _positive(text):
     return n
 
 
-def _emit_element(f, as_json):
-    if as_json:
-        print(json.dumps(core.element_to_json(f)))
-    else:
-        print(core.format_element(f))
+# Each handler returns (exit code, text, JSON value); main prints one of the
+# two forms.
 
 
-def _cmd_mul(args):
-    f = core.parse_element(args.left)
-    g = core.parse_element(args.right)
-    _emit_element(core.external_mul(f, g), args.json)
-    return 0
-
-
-def _cmd_imul(args):
-    f = core.parse_element(args.left)
-    g = core.parse_element(args.right)
-    _emit_element(core.internal_mul(f, g), args.json)
-    return 0
+def _cmd_product(args):
+    f = args.product(core.parse_element(args.left), core.parse_element(args.right))
+    return 0, core.format_element(f), core.element_to_json(f)
 
 
 def _cmd_coproduct(args):
     t = core.coproduct(core.parse_element(args.element))
-    if args.json:
-        print(json.dumps(core.tensor_to_json(t)))
-    else:
-        print(core.format_tensor(t))
-    return 0
+    return 0, core.format_tensor(t), core.tensor_to_json(t)
 
 
 def _cmd_antipode(args):
-    _emit_element(core.antipode(core.parse_element(args.element)), args.json)
-    return 0
+    f = core.antipode(core.parse_element(args.element))
+    return 0, core.format_element(f), core.element_to_json(f)
 
 
 def _cmd_reduce(args):
     alpha, sigma = comb.reduce_pair(*comb.parse_pair(args.pair))
-    if args.json:
-        print(json.dumps({"alpha": list(alpha), "sigma": list(sigma)}))
-    else:
-        print(comb.format_pair(alpha, sigma))
-    return 0
+    return 0, comb.format_pair(alpha, sigma), {"alpha": list(alpha), "sigma": list(sigma)}
 
 
 def _cmd_rank(args):
     r = core.rank(args.n)
-    if args.json:
-        print(json.dumps({"n": args.n, "rank": r}))
-    else:
-        print(r)
-    return 0
+    return 0, str(r), {"n": args.n, "rank": r}
 
 
 def _cmd_check(args):
     verdict = checker.check_zero_on_degree(checker.parse(args.expr), args.degree)
     if verdict.holds:
-        if args.json:
-            print(json.dumps({"verdict": "holds", "degree": args.degree}))
-        else:
-            print("holds")
-        return 0
+        return 0, "holds", {"verdict": "holds", "degree": args.degree}
     coeff, key = verdict.witness
-    if args.json:
-        print(json.dumps({
-            "verdict": "fails",
-            "degree": args.degree,
-            "witness": {
-                "coeff": str(coeff),
-                "alpha": list(key[0]),
-                "sigma": list(key[1]),
-            },
-        }))
-    else:
-        witness = core.format_element(core.PnsymElement({key: coeff}))
-        print(f"fails: {witness}")
-    return 1
+    witness = core.format_element(core.PnsymElement({key: coeff}))
+    return 1, f"fails: {witness}", {
+        "verdict": "fails",
+        "degree": args.degree,
+        "witness": {"coeff": str(coeff), "alpha": list(key[0]), "sigma": list(key[1])},
+    }
 
 
 def _cmd_ktable(args):
     k = checker.k_value(args.i, args.j, args.max)
-    if args.json:
-        print(json.dumps({"i": args.i, "j": args.j, "max": args.max, "k": k}))
-    else:
-        print("not_found" if k is None else k)
-    return 0
+    text = "not_found" if k is None else str(k)
+    return 0, text, {"i": args.i, "j": args.j, "max": args.max, "k": k}
 
 
 def _cmd_verify(args):
@@ -130,17 +91,8 @@ def _cmd_verify(args):
         names=args.family or None,
     )
     ok = all(r.ok for r in results)
-    if args.json:
-        print(json.dumps({
-            "families": [
-                {"name": r.name, "cases": r.cases, "failures": r.failures}
-                for r in results
-            ],
-            "ok": ok,
-        }))
-    else:
-        print(verify.format_report(results))
-    return 0 if ok else 1
+    families = [{"name": r.name, "cases": r.cases, "failures": r.failures} for r in results]
+    return (0 if ok else 1), verify.format_report(results), {"families": families, "ok": ok}
 
 
 def build_parser():
@@ -157,13 +109,14 @@ def build_parser():
         p.set_defaults(handler=handler)
         return p
 
-    p = add("mul", _cmd_mul, "concatenation product of two elements")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("imul", _cmd_imul, "internal product of two elements")
-    p.add_argument("left")
-    p.add_argument("right")
+    for name, product, help_text in [
+        ("mul", core.external_mul, "concatenation product of two elements"),
+        ("imul", core.internal_mul, "internal product of two elements"),
+    ]:
+        p = add(name, _cmd_product, help_text)
+        p.set_defaults(product=product)
+        p.add_argument("left")
+        p.add_argument("right")
 
     p = add("coproduct", _cmd_coproduct, "coproduct of an element")
     p.add_argument("element")
@@ -202,13 +155,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except comb.ParseError as exc:
+        code, text, value = args.handler(args)
+        print(json.dumps(value) if args.json else text)
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return code
 
 
 if __name__ == "__main__":

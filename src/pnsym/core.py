@@ -36,8 +36,8 @@ def key_sort_key(key):
 class _Combination:
     """A finite rational combination of hashable keys, zero terms dropped.
 
-    Equality is type-strict: combinations of different kinds never compare
-    equal, even when both are zero.
+    Equality and addition are type-strict: combinations of different kinds
+    never compare equal, even when both are zero, and do not add.
     """
 
     __slots__ = ("terms",)
@@ -52,6 +52,8 @@ class _Combination:
         return bool(self.terms)
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         terms = dict(self.terms)
         for key, c in other.terms.items():
             terms[key] = terms.get(key, Fraction(0)) + c

@@ -16,6 +16,7 @@ A second model (free on primitive degree-1 generators, cocommutative) backs
 the checks that only hold under cocommutativity.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -287,6 +288,15 @@ def apply_pas(model, alpha, sigma, f):
     return m_power(project_multi(twisted, alpha))
 
 
+def convolve(model, phi, psi, f):
+    """The convolution (phi * psi)(f) = m((phi (x) psi)(coproduct f)), by
+    Sweedler expansion in the model."""
+    out = FreeElement({})
+    for (w1, w2), c in delta_power(model, 2, f).terms.items():
+        out = out + c * element_mul(model, phi(element(w1)), psi(element(w2)))
+    return out
+
+
 def apply_convolution_of_projections(model, alpha, f):
     """The convolution of plain degree projections, from the Sweedler side.
 
@@ -294,17 +304,6 @@ def apply_convolution_of_projections(model, alpha, f):
     m((phi (x) psi)(coproduct x)); deliberately shares nothing with
     :func:`apply_pas` beyond the coproduct itself.
     """
-
-    def convolve(phi, psi):
-        def conv(e):
-            out = FreeElement({})
-            for (w1, w2), c in delta_power(model, 2, e).terms.items():
-                left = phi(FreeElement({w1: Fraction(1)}))
-                right = psi(FreeElement({w2: Fraction(1)}))
-                out = out + c * element_mul(model, left, right)
-            return out
-
-        return conv
 
     def projection(n):
         return lambda e: degree_part(e, n)
@@ -317,7 +316,7 @@ def apply_convolution_of_projections(model, alpha, f):
         return unit_counit(f)
     op = projection(alpha[0])
     for a in alpha[1:]:
-        op = convolve(op, projection(a))
+        op = functools.partial(convolve, model, op, projection(a))
     return op(f)
 
 

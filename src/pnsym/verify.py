@@ -84,21 +84,15 @@ def _probe_elements(model):
     if len(gens) >= 2:
         w = (gens[0], gens[1])
         probes.append((oracle.format_word(w), element(w)))
-        mixed = Fraction(1, 2) * model.gen(*_as_args(gens[0])) + element(w) - 2 * model.gen(*_as_args(gens[1]))
+        mixed = Fraction(1, 2) * element((gens[0],)) + element(w) - 2 * element((gens[1],))
         probes.append(("mixed", mixed))
     return probes
-
-
-def _as_args(letter):
-    return letter if isinstance(letter, tuple) else (letter,)
 
 
 def _leg_pool(model):
     """Words used to assemble probe tensors, unit leg included."""
     gens = model.generators()
-    pool = [(), (gens[0],)]
-    for g in gens[1:4]:
-        pool.append((g,))
+    pool = [()] + [(g,) for g in gens[:4]]
     if len(gens) >= 2:
         pool.append((gens[0], gens[1]))
     return tuple(pool)
@@ -149,14 +143,6 @@ def _block_merge(t, k, length):
     return FreeTensor(k, terms)
 
 
-def _model_convolve(model, phi, psi, f):
-    """Convolution (phi * psi)(f) by Sweedler expansion in the model."""
-    out = oracle.FreeElement()
-    for (w, v), c in oracle.delta_power(model, 2, f).terms.items():
-        out = out + c * oracle.element_mul(model, phi(element(w)), psi(element(v)))
-    return out
-
-
 def _case_label(*parts):
     return " ".join(str(p) for p in parts)
 
@@ -201,7 +187,7 @@ def _fam_convolution_concatenation(cfg):
         glued_alpha = comb.concat(a, b)
         glued_sigma = comb.direct_sum(s, t)
         for pname, x in probes:
-            lhs = _model_convolve(
+            lhs = oracle.convolve(
                 model,
                 lambda e, a=a, s=s: oracle.apply_pas(model, a, s, e),
                 lambda e, b=b, t=t: oracle.apply_pas(model, b, t, e),

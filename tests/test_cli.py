@@ -85,6 +85,23 @@ def test_parse_failure_exits_2_with_a_diagnostic(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["imul", "F((1);[2])", "F((1);[1])"],
+    ["coproduct", "F((1,1);[1])"],
+    ["antipode", "3/0*F((1);[1])"],
+    ["reduce", "((1,2);[1,1])"],
+    ["check", "p1+q", "--degree", "1"],
+    ["rank", "2000"],
+    ["rank", "2000", "--json"],
+])
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 # numeric commands ---------------------------------------------------------------
 
 def test_rank(capsys):
@@ -128,6 +145,17 @@ def test_check_failing_identity_exits_1_with_witness(capsys):
         "degree": 3,
         "witness": {"coeff": "2", "alpha": [1, 1, 1], "sigma": [1, 2, 3]},
     }
+
+
+def test_check_stops_a_power_once_it_repeats(capsys):
+    # p1 is idempotent under composition, so the power is stable after one
+    # product; the exponent must not cost one product per step
+    code, out, _ = run(capsys, "check", "p1^99999999", "--degree", "2")
+    assert code == 0
+    assert out == "holds\n"
+    code, out, _ = run(capsys, "check", "p1^99999999 - p1", "--degree", "1")
+    assert code == 0
+    assert out == "holds\n"
 
 
 def test_check_expression_error_exits_2(capsys):
@@ -194,6 +222,15 @@ def test_verify_json(capsys):
         "families": [{"name": "degree-projection", "cases": 20, "failures": 0}],
         "ok": True,
     }
+
+
+def test_verify_on_a_model_without_generators(capsys):
+    # the size-1 triangular model has no generators; the checks are vacuous
+    # there but must still run
+    code, out, err = run(capsys, "verify", "--model-size", "1", "--max-size", "1")
+    assert code == 0
+    assert err == ""
+    assert out.endswith("total: 108 cases, 0 failures\n")
 
 
 def test_verify_rejects_unknown_family(capsys):

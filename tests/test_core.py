@@ -145,6 +145,16 @@ def test_coproduct_is_splitting_sum():
     assert core.coproduct(F(alpha, sigma)) == expected
 
 
+def test_elements_and_tensors_do_not_add():
+    x = F((1,), (1,))
+    with pytest.raises(TypeError):
+        UNIT + core.coproduct(x)
+    with pytest.raises(TypeError):
+        core.coproduct(x) + UNIT
+    with pytest.raises(TypeError):
+        UNIT - core.coproduct(x)
+
+
 def test_counit():
     assert core.counit(UNIT) == 1
     assert core.counit(F((1,), (1,))) == 0
