@@ -13,6 +13,7 @@ that expansion is zero.  Everything is exact rational arithmetic — a verdict
 is a proof at that degree, not an approximation.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -359,19 +360,37 @@ def _expand_antipode(m):
     return core.PnsymElement(out)
 
 
-def _power(base, exponent, mul):
-    """``base`` multiplied by itself under ``mul``, ``exponent >= 1`` times.
+def _comp_power(base, exponent):
+    """``base`` composed with itself, ``exponent >= 1`` times.
 
     Stops as soon as one more product leaves the power unchanged: each step
     multiplies by the same base, so from then on the power stays the same.
     """
     power = base
     for _ in range(exponent - 1):
-        following = mul(power, base)
+        following = core.internal_mul(power, base)
         if following == power:
             break
         power = following
     return power
+
+
+def _conv_power(base, n, m):
+    """The n-th convolution power of ``base``, truncated to degree ``m``.
+
+    Write base = c*UNIT + r with counit(r) = 0.  The unit is central, so the
+    binomial theorem gives the sum of C(n, j) c^(n-j) r^(*j) over j <= n;
+    r^(*j) starts in degree j, so only j <= m survives the truncation, and
+    the power costs at most m products whatever n is.
+    """
+    c = core.counit(base)
+    rest = base - c * core.UNIT
+    rest_power = core.UNIT
+    out = c ** n * core.UNIT
+    for j in range(1, min(n, m) + 1):
+        rest_power = _truncate(core.external_mul(rest_power, rest), m)
+        out = out + math.comb(n, j) * c ** (n - j) * rest_power
+    return out
 
 
 def expand(e, m):
@@ -409,15 +428,9 @@ def _expand(e, m):
     if isinstance(e, CompPower):
         if e.exponent == 0:
             return _expand_id(m)
-        return _power(_expand(e.body, m), e.exponent, core.internal_mul)
+        return _comp_power(_expand(e.body, m), e.exponent)
     if isinstance(e, ConvPower):
-        if e.exponent == 0:
-            return core.UNIT
-        return _power(
-            _expand(e.body, m),
-            e.exponent,
-            lambda f, g: _truncate(core.external_mul(f, g), m),
-        )
+        return _conv_power(_expand(e.body, m), e.exponent, m)
     raise TypeError(f"not an operator expression: {e!r}")
 
 

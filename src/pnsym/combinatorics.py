@@ -117,12 +117,9 @@ def wreath_substitute(tau, sigma):
     ``interleave_power(tau,k) o inverse(zolotarev(k,l)) o block_power(sigma,l)
     == wreath_substitute(tau, sigma)``.
     """
-    k, l = len(sigma), len(tau)
-    res = [0] * (k * l)
-    for i in range(1, k + 1):
-        for j in range(1, l + 1):
-            res[l * (i - 1) + j - 1] = k * (tau[j - 1] - 1) + sigma[i - 1]
-    return tuple(res)
+    k = len(sigma)
+    shifts = [k * (t - 1) for t in tau]
+    return tuple([s + shift for s in sigma for shift in shifts])
 
 
 def zolotarev(k, l):
@@ -174,10 +171,10 @@ def standardize(values):
     values are rejected.
     """
     values = tuple(values)
-    if len(set(values)) != len(values):
-        raise ValueError("cannot standardize a sequence with duplicates")
     rank = {v: r for r, v in enumerate(sorted(values), 1)}
-    return tuple(rank[v] for v in values)
+    if len(rank) != len(values):
+        raise ValueError("cannot standardize a sequence with duplicates")
+    return tuple(map(rank.__getitem__, values))
 
 
 # ---------------------------------------------------------------------------

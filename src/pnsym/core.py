@@ -125,18 +125,64 @@ def internal_mul(f, g):
     sums a and column sums b, each flattened row-major and paired with the
     substitution permutation of t into s, then reduced.  Keys of unequal
     degree contribute nothing.
+
+    The tables and their zero-drops depend only on (a, b), so each shape is
+    enumerated once per call (:func:`_table_groups`); per key pair only the
+    twist is standardized, once per group of tables with the same nonzero
+    cells.
     """
+    shapes = {}
+    g_by_degree = _by_degree(g, lambda key: sum(key[0]))
     terms = {}
     for (a, s), c in f.terms.items():
-        for (b, t), d in g.terms.items():
-            if sum(a) != sum(b):
-                continue
-            cd = c * d
+        c = _whole(c)
+        for (b, t), d in g_by_degree.get(sum(a), ()):
+            cd = _whole(c * d)
             twist = comb.wreath_substitute(t, s)
-            for table in comb.contingency_tables(a, b):
-                key = comb.reduce_pair(comb.flatten_lex(table), twist)
-                terms[key] = terms.get(key, Fraction(0)) + cd
-    return PnsymElement(terms)
+            for kept, alphas in _table_groups(a, b, shapes):
+                sigma = comb.standardize([twist[i] for i in kept])
+                for alpha in alphas:
+                    key = (alpha, sigma)
+                    terms[key] = terms.get(key, 0) + cd
+    return PnsymElement(_fractions(terms))
+
+
+def _by_degree(g, degree):
+    """The terms of ``g`` by degree, coefficients made whole where they are."""
+    out = {}
+    for key, d in g.terms.items():
+        out.setdefault(degree(key), []).append((key, _whole(d)))
+    return out
+
+
+def _table_groups(a, b, shapes):
+    """The tables with row sums ``a`` and column sums ``b``, grouped by the
+    cells they leave nonzero.
+
+    Returns ``[(kept, alphas)]``: ``kept`` lists the nonzero cells'
+    positions in the row-major flattening, and ``alphas`` the flattenings
+    of the group's tables with their zero cells dropped (distinct, since
+    the tables are).  ``shapes`` is the caller's cache, keyed by ``(a, b)``.
+    """
+    groups = shapes.get((a, b))
+    if groups is None:
+        by_kept = {}
+        for table in comb.contingency_tables(a, b):
+            flat = comb.flatten_lex(table)
+            kept = tuple(i for i, x in enumerate(flat) if x)
+            by_kept.setdefault(kept, []).append(tuple(flat[i] for i in kept))
+        groups = shapes[(a, b)] = list(by_kept.items())
+    return groups
+
+
+def _whole(c):
+    """A Fraction with denominator 1 as an int, which adds much faster."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _fractions(terms):
+    """Accumulated coefficients, ints among them, as nonzero Fractions."""
+    return {key: Fraction(c) for key, c in terms.items() if c}
 
 
 def degree_component(f, n):
@@ -331,17 +377,22 @@ def nsym_external_mul(f, g):
 
 
 def nsym_internal_mul(f, g):
-    """Contingency-table product with zero entries of the flattening dropped."""
+    """Contingency-table product with zero entries of the flattening dropped.
+
+    Its keys are the reduced flattenings of :func:`_table_groups`, the same
+    tables :func:`internal_mul` sums over.
+    """
+    shapes = {}
+    g_by_degree = _by_degree(g, sum)
     terms = {}
     for a, c in f.terms.items():
-        for b, d in g.terms.items():
-            if sum(a) != sum(b):
-                continue
-            cd = c * d
-            for table in comb.contingency_tables(a, b):
-                key = tuple(x for x in comb.flatten_lex(table) if x)
-                terms[key] = terms.get(key, Fraction(0)) + cd
-    return NsymElement(terms)
+        c = _whole(c)
+        for b, d in g_by_degree.get(sum(a), ()):
+            cd = _whole(c * d)
+            for _, alphas in _table_groups(a, b, shapes):
+                for alpha in alphas:
+                    terms[alpha] = terms.get(alpha, 0) + cd
+    return NsymElement(_fractions(terms))
 
 
 def nsym_coproduct(f):

@@ -95,7 +95,6 @@ def test_criterion_2_nilpotency_table():
     _report(2, "nilpotency table and symmetry", problems)
 
 
-@pytest.mark.slow
 def test_criterion_2_extended_entry():
     problems = []
     got = checker.k_value(1, 6, 14)

@@ -242,6 +242,31 @@ def test_expand_zeroth_powers():
     assert expand(parse("(p1 - p2)^*0"), 2) == core.UNIT
 
 
+@pytest.mark.parametrize(
+    "body, n, m",
+    [
+        ("id", 5, 3),
+        ("2 id + p1 - S", 4, 3),
+        ("1/2 ue - p2 + F((1,1);[2,1])", 3, 4),
+        ("-3 ue + p1 * p1", 6, 2),
+        ("p1", 2, 3),
+        ("ue", 7, 3),
+    ],
+)
+def test_convolution_power_closed_form_equals_repeated_products(body, n, m):
+    base = expand(parse(body), m)
+    repeated = core.UNIT
+    for _ in range(n):
+        repeated = core.PnsymElement(
+            {
+                key: c
+                for key, c in core.external_mul(repeated, base).terms.items()
+                if sum(key[0]) <= m
+            }
+        )
+    assert expand(ConvPower(parse(body), n), m) == repeated
+
+
 def test_expand_accepts_budget_values():
     assert expand(Id(), 2) == expand(parse("p0 + p1 + p2"), 2)
     with pytest.raises(ValueError):

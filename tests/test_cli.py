@@ -158,6 +158,15 @@ def test_check_stops_a_power_once_it_repeats(capsys):
     assert out == "holds\n"
 
 
+def test_check_convolution_power_costs_at_most_degree_products(capsys):
+    # id = ue + p1 + p2 on degree 2, so its n-th power there is
+    # n p2 + C(n, 2) p1*p1; a power that keeps changing must not cost one
+    # product per step
+    code, out, _ = run(capsys, "check", "id^*99999999", "--degree", "2")
+    assert code == 1
+    assert out == "fails: 4999999850000001*F((1,1);[1,2])\n"
+
+
 def test_check_expression_error_exits_2(capsys):
     code, out, err = run(capsys, "check", "p1 ^ -1", "--degree", "2")
     assert code == 2

@@ -1,5 +1,7 @@
 """The Hopf algebra of basis keys: products, coproduct, antipode, bridge."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -109,6 +111,99 @@ def test_products_distribute(f, g):
     h = F((1, 1), (2, 1))
     assert core.external_mul(f + g, h) == core.external_mul(f, h) + core.external_mul(g, h)
     assert core.internal_mul(h, f + g) == core.internal_mul(h, f) + core.internal_mul(h, g)
+
+
+# the table kernel against a reference written from the definition --------------
+
+def _tables(a, b):
+    """Tables with row sums ``a`` and column sums ``b``: rows are candidate
+    splittings of each row sum, kept when the column sums come out right."""
+    rows = [
+        [row for row in itertools.product(range(x + 1), repeat=len(b)) if sum(row) == x]
+        for x in a
+    ]
+    for table in itertools.product(*rows):
+        if all(sum(row[j] for row in table) == y for j, y in enumerate(b)):
+            yield table
+
+
+def _reference_internal_mul(f, g):
+    terms = {}
+    for (a, s), c in f.terms.items():
+        for (b, t), d in g.terms.items():
+            k, l = len(s), len(t)
+            # cell (i, j) of the k x l grid carries k (t(j) - 1) + s(i)
+            twist = tuple(k * (t[j] - 1) + s[i] for i in range(k) for j in range(l))
+            for table in _tables(a, b):
+                flat = tuple(x for row in table for x in row)
+                key = comb.reduce_pair(flat, twist)
+                terms[key] = terms.get(key, Fraction(0)) + c * d
+    return core.PnsymElement(terms)
+
+
+def _reference_nsym_internal_mul(f, g):
+    terms = {}
+    for a, c in f.terms.items():
+        for b, d in g.terms.items():
+            for table in _tables(a, b):
+                key = tuple(x for row in table for x in row if x)
+                terms[key] = terms.get(key, Fraction(0)) + c * d
+    return core.NsymElement(terms)
+
+
+KEYS_BY_DEGREE = [list(comb.mopiscotions(n)) for n in range(6)]
+
+
+def _random_element(rng, degrees):
+    """Up to five terms with degrees drawn from ``degrees``, with whole and
+    fractional coefficients."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        key = rng.choice(KEYS_BY_DEGREE[rng.choice(degrees)])
+        terms[key] = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+    return core.PnsymElement(terms)
+
+
+BRACKET = F((1, 2), (1, 2)) - F((2, 1), (1, 2))
+
+
+def _bracket_fourth_power():
+    """Nonzero, and zero once more multiplied by the bracket (k(1,2) = 5)."""
+    power = BRACKET
+    for _ in range(3):
+        power = _reference_internal_mul(power, BRACKET)
+    return power
+
+
+def _kernel_cases():
+    rng = random.Random(20240126)
+    for _ in range(40):
+        # two degrees up to 5 shared by both factors, 0 (the empty key) at times
+        degrees = rng.sample(range(6), 2)
+        yield _random_element(rng, degrees), _random_element(rng, degrees)
+    # whole and fractional products accumulating on the same two keys
+    yield F((1, 1), (2, 1)), 2 * F((1, 1), (1, 2)) + Fraction(1, 3) * F((1, 1), (2, 1))
+    # every term of this product cancels
+    yield _bracket_fourth_power(), BRACKET
+    yield UNIT, UNIT
+    yield ZERO, BRACKET
+
+
+def test_internal_products_match_the_reference():
+    for f, g in _kernel_cases():
+        got = core.internal_mul(f, g)
+        assert got == _reference_internal_mul(f, g)
+        assert all(type(c) is Fraction for c in got.terms.values())
+        f_n, g_n = core.to_nsym(f), core.to_nsym(g)
+        got_n = core.nsym_internal_mul(f_n, g_n)
+        assert got_n == _reference_nsym_internal_mul(f_n, g_n)
+        assert all(type(c) is Fraction for c in got_n.terms.values())
+
+
+def test_the_reference_bracket_power_cancels():
+    power = _bracket_fourth_power()
+    assert power
+    assert not _reference_internal_mul(power, BRACKET)
 
 
 # coproduct, counit, grading ---------------------------------------------------
