@@ -206,15 +206,25 @@ def element_mul(model, f, g):
     return FreeElement(terms)
 
 
-def _word_delta(model, k, word):
-    terms = {tuple(() for _ in range(k)): Fraction(1)}
+def _word_delta(model, k, word, target=None):
+    """The k-fold coproduct of one word, as {legs: int multiplicity}.
+
+    With ``target``, a splitting is dropped as soon as leg r has degree
+    above ``target[r]``, letter by letter, so only the legs that can still
+    meet their bounds are ever built.
+    """
+    terms = {((),) * k: 1}
     for letter in word:
         new = {}
         for legs in model.letter_coproduct_legs(letter, k):
             for key, c in terms.items():
                 merged = tuple(key[r] + legs[r] for r in range(k))
+                if target is not None and any(
+                    word_degree(merged[r]) > target[r] for r in range(k) if legs[r]
+                ):
+                    continue
                 if all(model.admits(w) for w in merged):
-                    new[merged] = new.get(merged, Fraction(0)) + c
+                    new[merged] = new.get(merged, 0) + c
         terms = new
         if not terms:
             break
@@ -278,14 +288,42 @@ def degree_part(f, n):
     )
 
 
-def apply_pas(model, alpha, sigma, f):
-    """The twisted operator: multiply . project . untwist . comultiply."""
-    k = len(alpha)
-    if len(sigma) != k:
+def _slot_targets(alpha, sigma):
+    """Per-leg degree targets: slot r of the untwisted tensor is leg sigma(r)."""
+    if len(sigma) != len(alpha):
         raise ValueError("composition and permutation lengths differ")
-    spread = delta_power(model, k, f)
-    twisted = permute_tensor(spread, comb.inverse(sigma))
-    return m_power(project_multi(twisted, alpha))
+    target = [0] * len(alpha)
+    for a, s in zip(alpha, sigma):
+        target[s - 1] = a
+    return target
+
+
+def apply_pas(model, alpha, sigma, f):
+    """The twisted operator m^[k] . P_alpha . sigma^{-1} . coproduct^[k].
+
+    Each word is split straight toward its targets: leg sigma(r) must end
+    with degree alpha_r, so a partial splitting dies once a leg overshoots,
+    and the output word is read off the legs in the order sigma(1), ...,
+    sigma(k).  No full tensor is built; the literal composition of
+    :func:`delta_power`, :func:`permute_tensor`, :func:`project_multi` and
+    :func:`m_power` is the reference it is tested against.
+    """
+    target = _slot_targets(alpha, sigma)
+    if any(a < 0 for a in alpha):
+        return FreeElement({})  # no leg has negative degree
+    n = sum(alpha)
+    out = {}
+    for word, c in f.terms.items():
+        # legs sum to the word's degree, so bounded legs meet alpha exactly
+        if word_degree(word) != n:
+            continue
+        images = {}
+        for legs, mult in _word_delta(model, len(alpha), word, target).items():
+            w = tuple(x for s in sigma for x in legs[s - 1])
+            images[w] = images.get(w, 0) + mult
+        for w, mult in images.items():
+            out[w] = out.get(w, Fraction(0)) + c * mult
+    return FreeElement(out)
 
 
 def convolve(model, phi, psi, f):
@@ -332,19 +370,19 @@ def apply_pas_on_tensor_square(model, alpha, sigma, t):
     """The twisted operator of the tensor-square bialgebra H (x) H.
 
     Computed directly from the componentwise structure: coproducts are
-    taken leg-wise and zipped, the permutation moves the zipped slots, the
-    projection filters on total slot degree, and multiplication is
-    componentwise.  Input and output are arity-2 tensors.
+    taken leg-wise (each leg bounded by its slot's target) and zipped, the
+    permutation moves the zipped slots, the projection filters on total
+    slot degree, and multiplication is componentwise.  Input and output are
+    arity-2 tensors.
     """
     if t.arity != 2:
         raise ValueError("expected an arity-2 tensor")
     k = len(alpha)
-    if len(sigma) != k:
-        raise ValueError("composition and permutation lengths differ")
+    target = _slot_targets(alpha, sigma)
     out = {}
     for (w, v), c in t.terms.items():
-        dw = _word_delta(model, k, w)
-        dv = _word_delta(model, k, v)
+        dw = _word_delta(model, k, w, target)
+        dv = _word_delta(model, k, v, target)
         for wlegs, cw in dw.items():
             for vlegs, cv in dv.items():
                 # slot r of the untwisted zip holds (wlegs[sigma(r)], vlegs[sigma(r)])

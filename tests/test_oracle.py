@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pnsym import combinatorics as comb
 from pnsym import core, oracle
@@ -111,6 +111,15 @@ def test_primitive_model_cap_truncates_products():
     assert oracle.element_mul(model, yy, y) == oracle.FreeElement({})
 
 
+def test_primitive_model_cap_truncates_coproduct_legs():
+    model = oracle.PrimitiveTensorModel(1, cap=2)
+    yyy = oracle.element((1, 1, 1))
+    assert oracle.delta_power(model, 1, yyy) == oracle.FreeTensor(1, {})
+    assert oracle.delta_power(model, 2, yyy) == 3 * tensor((1,), (1, 1)) + 3 * tensor(
+        (1, 1), (1,)
+    )
+
+
 @given(st.lists(st.integers(min_value=1, max_value=3), max_size=4))
 def test_primitive_model_is_cocommutative(word):
     model = oracle.PrimitiveTensorModel(3)
@@ -202,6 +211,13 @@ def test_twisted_operator_empty_key_is_the_counit():
     assert oracle.apply_pas(T3, (), (), 3 * oracle.one()) == 3 * oracle.one()
 
 
+def test_twisted_operator_negative_part_is_zero():
+    # sum(alpha) is deg x(1,2) and no nonempty leg overshoots, yet P_(-1,2) is zero
+    for sigma in [(1, 2), (2, 1)]:
+        image = oracle.apply_pas(T3, (-1, 2), sigma, x12)
+        assert image == literal_pas(T3, (-1, 2), sigma, x12) == oracle.FreeElement({})
+
+
 def test_twisted_operator_length_mismatch_rejected():
     with pytest.raises(ValueError):
         oracle.apply_pas(T3, (1, 1), (1,), x13)
@@ -251,6 +267,63 @@ def test_projection_convolution_frozen_values():
         {}
     )
     assert oracle.apply_convolution_of_projections(T3, (2,), x13) == x13
+
+
+def literal_pas(model, alpha, sigma, f):
+    """Reference: m^[k] . P_alpha . sigma^{-1} . coproduct^[k], one map at a time."""
+    spread = oracle.delta_power(model, len(alpha), f)
+    twisted = oracle.permute_tensor(spread, comb.inverse(sigma))
+    return oracle.m_power(oracle.project_multi(twisted, alpha))
+
+
+# the primitive model's cap is below the longest words, so admits() prunes
+REFERENCE_MODELS = [oracle.TriangularModel(4), oracle.PrimitiveTensorModel(2, cap=3)]
+T4_x14 = REFERENCE_MODELS[0].gen(1, 4)
+COEFFICIENTS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+
+
+def _cut(word, max_degree=6):
+    """Longest prefix of ``word`` within ``max_degree``; bounds the reference's cost."""
+    total = 0
+    for i, letter in enumerate(word):
+        total += oracle.letter_degree(letter)
+        if total > max_degree:
+            return word[:i]
+    return word
+
+
+@st.composite
+def pas_cases(draw):
+    model = draw(st.sampled_from(REFERENCE_MODELS))
+    letters = st.sampled_from(model.generators())
+    word = st.lists(letters, max_size=5).map(tuple).map(_cut)
+    words = draw(st.lists(word, min_size=1, max_size=3))
+    f = oracle.FreeElement({})
+    for w in words:
+        f = f + oracle.element(w, draw(COEFFICIENTS))
+    k = draw(st.integers(0, 4))
+    # aim alpha at one input word's degree most of the time, so images are nonzero
+    degrees = [oracle.word_degree(w) for w in words]
+    n = draw(st.one_of(st.sampled_from(degrees), st.integers(0, 6)))
+    alpha = draw(st.sampled_from(list(comb.weak_compositions(n, k)) or [()]))
+    sigma = tuple(draw(st.permutations(range(1, len(alpha) + 1))))
+    return model, alpha, sigma, f
+
+
+@example((REFERENCE_MODELS[1], (4,), (1,), oracle.element((1, 2, 1, 2))))
+@example((REFERENCE_MODELS[1], (1, 3, 0), (3, 1, 2), oracle.element((1, 2, 2, 1))))
+@example((REFERENCE_MODELS[0], (1, 1, 1), (2, 3, 1), Fraction(1, 2) * T4_x14 - x13))
+@example((REFERENCE_MODELS[0], (0, 0), (2, 1), 2 * oracle.one() - x12))
+@settings(max_examples=300, deadline=None)
+@given(pas_cases())
+def test_twisted_operator_matches_the_literal_composition(case):
+    model, alpha, sigma, f = case
+    image = oracle.apply_pas(model, alpha, sigma, f)
+    assert image == literal_pas(model, alpha, sigma, f)
+    assert all(type(c) is Fraction for c in image.terms.values())
 
 
 # acting by an element of the algebra --------------------------------------------
