@@ -13,54 +13,9 @@ The working pieces:
   exact degree-wise zero testing.
 - :mod:`pnsym.verify` — the brute-force driver re-checking every structural
   identity on the models.
+
+Import the module you need (``from pnsym import core``); the package itself
+re-exports nothing.
 """
 
-from .core import (
-    PnsymElement,
-    PnsymTensor,
-    ZERO,
-    UNIT,
-    antipode,
-    basis,
-    coproduct,
-    counit,
-    degree_component,
-    external_mul,
-    format_element,
-    format_tensor,
-    from_nsym,
-    from_weak_term,
-    internal_mul,
-    nsym_internal_mul,
-    parse_element,
-    rank,
-    to_nsym,
-)
-from .combinatorics import ParseError, reduce_pair
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "PnsymElement",
-    "PnsymTensor",
-    "ZERO",
-    "UNIT",
-    "antipode",
-    "basis",
-    "coproduct",
-    "counit",
-    "degree_component",
-    "external_mul",
-    "format_element",
-    "format_tensor",
-    "from_nsym",
-    "from_weak_term",
-    "internal_mul",
-    "nsym_internal_mul",
-    "parse_element",
-    "rank",
-    "to_nsym",
-    "ParseError",
-    "reduce_pair",
-    "__version__",
-]

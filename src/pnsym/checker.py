@@ -434,19 +434,6 @@ def _expand(e, m):
     raise TypeError(f"not an operator expression: {e!r}")
 
 
-def identity_inverse_series(m):
-    """Convolution inverse of the identity expansion, degree by degree.
-
-    Independent route to the antipode expansion: solve s * (unit + rest) =
-    unit iteratively, gaining one exact degree per pass.
-    """
-    rest = _expand_id(m) - core.UNIT
-    series = core.UNIT
-    for _ in range(m):
-        series = core.UNIT - _truncate(core.external_mul(series, rest), m)
-    return series
-
-
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -490,9 +477,3 @@ def k_value(i, j, k_max):
         if k < k_max:
             power = core.internal_mul(power, bracket)
     return None
-
-
-def squared_antipode_check(k):
-    """Vanishing order of S∘S - id on the degree-k component."""
-    body = Difference(Composition(Antipode(), Antipode()), Id())
-    return check_zero_on_degree(CompPower(body, max(1, k)), k)

@@ -26,32 +26,26 @@ def concat(alpha, beta):
 
 
 def is_weak_composition(alpha):
-    return all(isinstance(a, int) and a >= 0 for a in alpha)
+    return all(type(a) is int and a >= 0 for a in alpha)
 
 
 def is_composition(alpha):
-    return all(isinstance(a, int) and a >= 1 for a in alpha)
+    return all(type(a) is int and a >= 1 for a in alpha)
 
 
 def compositions(n, length=None):
     """All compositions of ``n`` (entries >= 1), optionally of fixed length.
 
     Yielded in lexicographic order for each length, shortest first when
-    ``length`` is None.
+    ``length`` is None.  A composition of ``n`` into ``k`` parts is a weak
+    composition of ``n - k`` with one added to each part.
     """
-    if length is not None:
-        if n == 0:
-            if length == 0:
-                yield ()
-            return
-        if length == 0:
-            return
-        for first in range(1, n - length + 2):
-            for rest in compositions(n - first, length - 1):
-                yield (first,) + rest
+    if length is None:
+        for k in range(n + 1):
+            yield from compositions(n, k)
         return
-    for k in range(0, n + 1):
-        yield from compositions(n, k)
+    for weak in weak_compositions(n - length, length):
+        yield tuple(a + 1 for a in weak)
 
 
 def weak_compositions(n, length):
@@ -67,14 +61,9 @@ def weak_compositions(n, length):
 
 def entrywise_splittings(alpha):
     """All pairs of weak compositions (beta, gamma) with beta + gamma = alpha
-    entrywise (same length as alpha)."""
-    if not alpha:
-        yield (), ()
-        return
-    first = alpha[0]
-    for b0 in range(first + 1):
-        for beta, gamma in entrywise_splittings(alpha[1:]):
-            yield (b0,) + beta, (first - b0,) + gamma
+    entrywise (same length as alpha), in lexicographic order of beta."""
+    for beta in itertools.product(*(range(a + 1) for a in alpha)):
+        yield beta, tuple(a - b for a, b in zip(alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +71,7 @@ def entrywise_splittings(alpha):
 
 
 def is_permutation(p):
-    return sorted(p) == list(range(1, len(p) + 1))
+    return all(type(x) is int for x in p) and sorted(p) == list(range(1, len(p) + 1))
 
 
 def identity(k):
@@ -196,10 +185,6 @@ def reduce_pair(alpha, sigma):
     )
 
 
-def is_reduced(alpha, sigma):
-    return reduce_pair(alpha, sigma) == (tuple(alpha), tuple(sigma))
-
-
 def mopiscotions(n):
     """All mopiscotions (alpha, sigma) with sum(alpha) == n.
 
@@ -258,11 +243,6 @@ def contingency_tables(alpha, beta):
 def flatten_lex(table):
     """Row-major reading of a table as a weak composition."""
     return tuple(entry for row in table for entry in row)
-
-
-def transpose(table):
-    cols = len(table[0]) if table else 0
-    return tuple(tuple(row[j] for row in table) for j in range(cols))
 
 
 # ---------------------------------------------------------------------------

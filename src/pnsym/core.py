@@ -214,15 +214,6 @@ class PnsymTensor(_Combination):
         )
 
 
-def tensor_of(f, g):
-    """The pure tensor f (x) g of two elements."""
-    terms = {}
-    for k1, c in f.terms.items():
-        for k2, d in g.terms.items():
-            terms[(k1, k2)] = terms.get((k1, k2), Fraction(0)) + c * d
-    return PnsymTensor(terms)
-
-
 def coproduct(f):
     """Split each key's composition entrywise, keeping the permutation.
 
@@ -239,20 +230,6 @@ def coproduct(f):
             )
             terms[key] = terms.get(key, Fraction(0)) + c
     return PnsymTensor(terms)
-
-
-def tensor_mul(product, s, t):
-    """Leg-wise product of two tensors.
-
-    ``product`` multiplies elements; (a # b)(c # d) = product(a, c) # product(b, d).
-    """
-    out = PnsymTensor()
-    for (a1, a2), c in s.terms.items():
-        for (b1, b2), d in t.terms.items():
-            left = product(PnsymElement({a1: Fraction(1)}), PnsymElement({b1: Fraction(1)}))
-            right = product(PnsymElement({a2: Fraction(1)}), PnsymElement({b2: Fraction(1)}))
-            out = out + (c * d) * tensor_of(left, right)
-    return out
 
 
 def antipode(f):
@@ -276,15 +253,11 @@ def _antipode_key(key, memo):
         return UNIT
     if key in memo:
         return memo[key]
-    alpha, sigma = key
     acc = {key: Fraction(-1)}
-    for beta, gamma in comb.entrywise_splittings(alpha):
-        if not any(beta) or not any(gamma):
+    for (left, right), c in coproduct(PnsymElement({key: Fraction(1)})).terms.items():
+        if EMPTY_KEY in (left, right):
             continue  # proper part only
-        left = comb.reduce_pair(beta, sigma)
-        right = comb.reduce_pair(gamma, sigma)
-        s_left = _antipode_key(left, memo)
-        prod = external_mul(s_left, PnsymElement({right: Fraction(1)}))
+        prod = external_mul(_antipode_key(left, memo), PnsymElement({right: c}))
         for k2, d in prod.terms.items():
             acc[k2] = acc.get(k2, Fraction(0)) - d
     result = PnsymElement(acc)
@@ -292,22 +265,8 @@ def _antipode_key(key, memo):
     return result
 
 
-def convolve_maps(phi, psi, f):
-    """m . (phi (x) psi) . Delta applied to f, for maps on elements.
-
-    ``phi`` and ``psi`` take and return elements; this is the convolution
-    product in which the antipode is the inverse of the identity.
-    """
-    out = ZERO
-    for (k1, k2), c in coproduct(f).terms.items():
-        left = phi(PnsymElement({k1: Fraction(1)}))
-        right = psi(PnsymElement({k2: Fraction(1)}))
-        out = out + c * external_mul(left, right)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# rank and basis enumeration
+# rank
 
 
 def rank(n):
@@ -317,11 +276,6 @@ def rank(n):
     return sum(
         math.comb(n - 1, n - k) * math.factorial(k) for k in range(n + 1)
     )
-
-
-def basis_keys(n):
-    """All canonical basis keys of degree n, in canonical order."""
-    yield from sorted(comb.mopiscotions(n), key=key_sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ class FreeElement:
         return bool(self.terms)
 
     def __add__(self, other):
+        if not isinstance(other, FreeElement):
+            return NotImplemented
         if self.arity != other.arity:
             raise ValueError("cannot add tensors of different arities")
         terms = dict(self.terms)

@@ -156,26 +156,19 @@ def _fam_composition_expansion(cfg):
     model = oracle.TriangularModel(cfg.model_size)
     gens = _generator_elements(model)
     strict = _mopiscotions_up_to(cfg.max_size)
-    for (a, s), (b, t) in itertools.product(strict, strict):
-        if sum(a) != sum(b):
-            continue
-        expansion = core.internal_mul(core.basis(a, s), core.basis(b, t))
-        for gname, x in gens:
-            lhs = oracle.apply_pas(model, a, s, oracle.apply_pas(model, b, t, x))
-            rhs = oracle.evaluate_pnsym(model, expansion, x)
-            yield _case_label(comb.format_pair(a, s), comb.format_pair(b, t), gname), lhs == rhs
-    # weak keys, through from_weak_term (reduction on ingest)
+    # weak keys go through from_weak_term (reduction on ingest)
     weak = _weak_pairs_up_to(max(cfg.max_size - 1, 0), cfg.max_size)
-    for (a, s), (b, t) in itertools.product(weak, weak):
-        if sum(a) != sum(b):
-            continue
-        expansion = core.internal_mul(
-            core.from_weak_term(1, (a, s)), core.from_weak_term(1, (b, t))
-        )
-        for gname, x in gens:
-            lhs = oracle.apply_pas(model, a, s, oracle.apply_pas(model, b, t, x))
-            rhs = oracle.evaluate_pnsym(model, expansion, x)
-            yield _case_label(comb.format_pair(a, s), comb.format_pair(b, t), gname), lhs == rhs
+    for keys in (strict, weak):
+        for (a, s), (b, t) in itertools.product(keys, keys):
+            if sum(a) != sum(b):
+                continue
+            expansion = core.internal_mul(
+                core.from_weak_term(1, (a, s)), core.from_weak_term(1, (b, t))
+            )
+            for gname, x in gens:
+                lhs = oracle.apply_pas(model, a, s, oracle.apply_pas(model, b, t, x))
+                rhs = oracle.evaluate_pnsym(model, expansion, x)
+                yield _case_label(comb.format_pair(a, s), comb.format_pair(b, t), gname), lhs == rhs
 
 
 def _fam_convolution_concatenation(cfg):
@@ -374,43 +367,41 @@ def _fam_product_coproduct_exchange(cfg):
             yield _case_label(k, length, f"t{i}"), lhs == rhs
 
 
-def _fam_projection_product_split(cfg):
-    """Projecting a block product sums over per-block degree splits."""
-    model = oracle.TriangularModel(cfg.model_size)
+def _projection_splits(cfg):
+    """``(k, length, gamma, flats)``: each flat splits every part of the
+    k-part degree vector ``gamma`` into ``length`` parts, read row-major."""
     for k, length in _iter_kl(cfg):
         if k * length > 6:
             continue
         for d in range(cfg.max_size + 1):
             for gamma in comb.weak_compositions(d, k):
-                for i, t in enumerate(_probe_tensors(model, k * length)):
-                    lhs = oracle.project_multi(_block_merge(t, k, length), gamma)
-                    rhs = FreeTensor(k)
-                    for rows in itertools.product(
-                        *(comb.weak_compositions(g, length) for g in gamma)
-                    ):
-                        flat = tuple(itertools.chain.from_iterable(rows))
-                        rhs = rhs + _block_merge(oracle.project_multi(t, flat), k, length)
-                    yield _case_label(k, length, comb.format_composition(gamma), f"t{i}"), lhs == rhs
+                rows = itertools.product(*(comb.weak_compositions(g, length) for g in gamma))
+                yield k, length, gamma, [tuple(itertools.chain.from_iterable(r)) for r in rows]
+
+
+def _fam_projection_product_split(cfg):
+    """Projecting a block product sums over per-block degree splits."""
+    model = oracle.TriangularModel(cfg.model_size)
+    for k, length, gamma, flats in _projection_splits(cfg):
+        for i, t in enumerate(_probe_tensors(model, k * length)):
+            lhs = oracle.project_multi(_block_merge(t, k, length), gamma)
+            rhs = FreeTensor(k)
+            for flat in flats:
+                rhs = rhs + _block_merge(oracle.project_multi(t, flat), k, length)
+            yield _case_label(k, length, comb.format_composition(gamma), f"t{i}"), lhs == rhs
 
 
 def _fam_projection_coproduct_split(cfg):
     """Projecting before splitting sums over per-leg degree splits."""
     model = oracle.TriangularModel(cfg.model_size)
-    for k, length in _iter_kl(cfg):
-        if k * length > 6:
-            continue
-        for d in range(cfg.max_size + 1):
-            for gamma in comb.weak_compositions(d, k):
-                for i, t in enumerate(_probe_tensors(model, k)):
-                    lhs = _legwise_delta(model, oracle.project_multi(t, gamma), length)
-                    rhs = FreeTensor(k * length)
-                    spread = _legwise_delta(model, t, length)
-                    for rows in itertools.product(
-                        *(comb.weak_compositions(g, length) for g in gamma)
-                    ):
-                        flat = tuple(itertools.chain.from_iterable(rows))
-                        rhs = rhs + oracle.project_multi(spread, flat)
-                    yield _case_label(k, length, comb.format_composition(gamma), f"t{i}"), lhs == rhs
+    for k, length, gamma, flats in _projection_splits(cfg):
+        for i, t in enumerate(_probe_tensors(model, k)):
+            lhs = _legwise_delta(model, oracle.project_multi(t, gamma), length)
+            spread = _legwise_delta(model, t, length)
+            rhs = FreeTensor(k * length)
+            for flat in flats:
+                rhs = rhs + oracle.project_multi(spread, flat)
+            yield _case_label(k, length, comb.format_composition(gamma), f"t{i}"), lhs == rhs
 
 
 def _fam_projection_permutation_twist(cfg):

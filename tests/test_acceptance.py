@@ -14,6 +14,8 @@ import pytest
 
 from pnsym import checker, combinatorics as comb, core, oracle, verify
 
+from hopf_reference import convolve_maps, tensor_mul
+
 
 F = core.basis
 UNIT = core.UNIT
@@ -44,10 +46,12 @@ def _mixtures(seed, count, max_size, terms=3):
     return out
 
 
-def _family_problems(name, model_size, max_size):
-    result = verify.run_family(name, model_size=model_size, max_size=max_size)
-    if result.cases == 0:
-        return [f"{name}: no cases ran"]
+def _family_problems(name, cases):
+    """Problems of one family at the default bounds (4, 3), which must run
+    exactly ``cases`` cases: a rewrite that drops or repeats some shows."""
+    result = verify.run_family(name, model_size=4, max_size=3)
+    if result.cases != cases:
+        return [f"{name}: {result.cases} cases ran, expected {cases}"]
     if result.failures:
         return [f"{name}: {result.failures} failures, e.g. {result.examples}"]
     return []
@@ -115,7 +119,7 @@ def test_criterion_3_identity_suite():
     if not checker.check_zero_on_degree("(p1*id - 2 id) o (p1*id)^2", 2).holds:
         problems.append("projection identity should vanish on degree 2")
     for k in (2, 3, 4):
-        if not checker.squared_antipode_check(k).holds:
+        if not checker.check_zero_on_degree(f"(S o S - id)^{k}", k).holds:
             problems.append(f"(S^2 - id)^{k} should vanish on degree {k}")
     _report(3, "identity suite", problems)
 
@@ -127,7 +131,7 @@ def test_criterion_4_composition_expansion():
     _report(
         4,
         "operator composition matches internal-product expansion",
-        _family_problems("composition-expansion", 4, 3),
+        _family_problems("composition-expansion", 15660),
     )
 
 
@@ -136,15 +140,15 @@ def test_criterion_4_composition_expansion():
 
 def test_criterion_5_operator_laws():
     problems = []
-    for name in (
-        "convolution-concatenation",
-        "projection-convolution",
-        "reduction-invariance",
-        "degree-projection",
-        "tensor-square-expansion",
-        "cocommutative-collapse",
+    for name, cases in (
+        ("convolution-concatenation", 2048),
+        ("projection-convolution", 560),
+        ("reduction-invariance", 11202),
+        ("degree-projection", 144),
+        ("tensor-square-expansion", 256),
+        ("cocommutative-collapse", 112),
     ):
-        problems += _family_problems(name, 4, 3)
+        problems += _family_problems(name, cases)
     _report(5, "operator laws on the free models", problems)
 
 
@@ -153,18 +157,18 @@ def test_criterion_5_operator_laws():
 
 def test_criterion_6_lemma_layer():
     problems = []
-    for name in (
-        "shuffle-factorization",
-        "wreath-associativity",
-        "iterated-product-merge",
-        "iterated-coproduct-merge",
-        "product-coproduct-exchange",
-        "projection-product-split",
-        "projection-coproduct-split",
-        "projection-permutation-twist",
-        "projection-orthogonality",
+    for name, cases in (
+        ("shuffle-factorization", 1089),
+        ("wreath-associativity", 9801),
+        ("iterated-product-merge", 32),
+        ("iterated-coproduct-merge", 96),
+        ("product-coproduct-exchange", 32),
+        ("projection-product-split", 240),
+        ("projection-coproduct-split", 240),
+        ("projection-permutation-twist", 290),
+        ("projection-orthogonality", 234),
     ):
-        problems += _family_problems(name, 4, 3)
+        problems += _family_problems(name, cases)
     _report(6, "lemma layer", problems)
 
 
@@ -239,11 +243,11 @@ def _bialgebra_problems():
     ]
     pairs += list(zip(_mixtures("bialg-f", 6, 4), _mixtures("bialg-g", 6, 4)))
     for f, g in pairs:
-        if core.coproduct(core.external_mul(f, g)) != core.tensor_mul(
+        if core.coproduct(core.external_mul(f, g)) != tensor_mul(
             core.external_mul, core.coproduct(f), core.coproduct(g)
         ):
             problems.append("coproduct not multiplicative for the external product")
-        if core.coproduct(core.internal_mul(f, g)) != core.tensor_mul(
+        if core.coproduct(core.internal_mul(f, g)) != tensor_mul(
             core.internal_mul, core.coproduct(f), core.coproduct(g)
         ):
             problems.append("coproduct not multiplicative for the internal product")
@@ -337,9 +341,9 @@ def _antipode_problems():
     targets = [F(*key) for key in _keys_up_to(5)] + _mixtures("antipode", 6, 4)
     for f in targets:
         expected = core.counit(f) * UNIT
-        if core.convolve_maps(core.antipode, identity, f) != expected:
+        if convolve_maps(core.antipode, identity, f) != expected:
             problems.append("S * id != unit-counit")
-        if core.convolve_maps(identity, core.antipode, f) != expected:
+        if convolve_maps(identity, core.antipode, f) != expected:
             problems.append("id * S != unit-counit")
     return problems
 

@@ -38,6 +38,14 @@ def test_composition_predicates():
     assert not comb.is_weak_composition((3, -1))
 
 
+@pytest.mark.parametrize("bad", [(True, 2), (1, False), (1.0,), ("1",)])
+def test_predicates_reject_entries_that_are_not_ints(bad):
+    # a bool is an int subclass and would compare equal to 0 or 1
+    assert not comb.is_weak_composition(bad)
+    assert not comb.is_composition(bad)
+    assert not comb.is_permutation(bad)
+
+
 def test_compositions_of_four():
     comps = list(comb.compositions(4))
     assert len(comps) == 8
@@ -67,6 +75,43 @@ def test_entrywise_splittings():
         ((1, 1), (0, 0)),
     }
     assert list(comb.entrywise_splittings(())) == [((), ())]
+
+
+def _reference_compositions(n, length):
+    """Compositions of ``n`` into ``length`` parts, first part outermost."""
+    if length == 0:
+        return [()] if n == 0 else []
+    return [
+        (first,) + rest
+        for first in range(1, n + 1)
+        for rest in _reference_compositions(n - first, length - 1)
+    ]
+
+
+def _reference_splittings(alpha):
+    """Entrywise splittings of ``alpha``, first entry's split outermost."""
+    if not alpha:
+        return [((), ())]
+    return [
+        ((b,) + beta, (alpha[0] - b,) + gamma)
+        for b in range(alpha[0] + 1)
+        for beta, gamma in _reference_splittings(alpha[1:])
+    ]
+
+
+def test_composition_order_is_pinned():
+    """Mopiscotions, and so verify's case order and labels, follow this order."""
+    for n in range(8):
+        by_length = [_reference_compositions(n, k) for k in range(n + 2)]
+        for k, expected in enumerate(by_length):
+            assert list(comb.compositions(n, k)) == expected
+        assert list(comb.compositions(n)) == [a for comps in by_length for a in comps]
+
+
+def test_splitting_order_is_pinned():
+    for length in range(5):
+        for alpha in itertools.product(range(4), repeat=length):
+            assert list(comb.entrywise_splittings(alpha)) == _reference_splittings(alpha)
 
 
 @given(weak_comps())
@@ -200,8 +245,7 @@ def test_reduce_pair_frozen():
 def test_reduce_pair_is_idempotent(pair):
     alpha, sigma = pair
     red = comb.reduce_pair(alpha, sigma)
-    assert comb.is_reduced(*red)
-    assert comb.reduce_pair(*red) == red
+    assert comb.reduce_pair(*red) == red  # reduced
     assert sum(red[0]) == sum(alpha)
 
 
@@ -212,7 +256,7 @@ def test_mopiscotion_counts():
     assert len(list(comb.mopiscotions(2))) == 3
     assert len(list(comb.mopiscotions(3))) == 11
     for alpha, sigma in comb.mopiscotions(3):
-        assert comb.is_reduced(alpha, sigma)
+        assert comb.reduce_pair(alpha, sigma) == (alpha, sigma)
 
 
 # contingency tables ----------------------------------------------------------
@@ -244,7 +288,7 @@ def test_contingency_tables_marginals():
 )
 def test_contingency_transpose_bijection(alpha, beta):
     forward = set(comb.contingency_tables(alpha, beta))
-    back = {comb.transpose(t) for t in comb.contingency_tables(beta, alpha)}
+    back = {tuple(zip(*t)) for t in comb.contingency_tables(beta, alpha)}
     assert forward == back
 
 

@@ -39,6 +39,19 @@ def test_tensor_of_elements_is_multilinear():
 def test_tensor_arity_mismatch_rejected():
     with pytest.raises(ValueError):
         tensor(((1, 2),)) + tensor(((1, 2),), ((2, 3),))
+    with pytest.raises(ValueError):
+        oracle.one() + tensor(((1, 2),))
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1), None])
+def test_oracle_values_do_not_add_to_other_types(other):
+    # a non-oracle operand is NotImplemented, so Python raises TypeError
+    with pytest.raises(TypeError):
+        oracle.one() + other
+    with pytest.raises(TypeError):
+        other + oracle.one()
+    with pytest.raises(TypeError):
+        tensor(((1, 2),)) + other
 
 
 def test_generator_bounds_checked():

@@ -2,7 +2,9 @@
 stays independent of the code it checks."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import pnsym
@@ -61,3 +63,14 @@ def test_import_scan_sees_every_spelling_of_core():
     assert _pnsym_modules(ast.parse("from . import combinatorics as comb")) == {
         "combinatorics"
     }
+
+
+def test_importing_the_package_loads_no_submodule():
+    # the modules are used by name (``from pnsym import core``); a package
+    # that re-exports their functions would load them all on ``import pnsym``
+    code = "import sys, pnsym; print(sorted(m for m in sys.modules if m.startswith('pnsym.')))"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pnsym.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n"
