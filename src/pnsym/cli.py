@@ -154,6 +154,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # long exact results print in full; a finite bound keeps int-to-text,
+        # quadratic in the digits, short.  Input keeps the Scanner's bound.
+        sys.set_int_max_str_digits(100_000)
     try:
         code, text, value = args.handler(args)
         print(json.dumps(value) if args.json else text)

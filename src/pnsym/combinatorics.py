@@ -275,8 +275,10 @@ class Scanner:
     """Left-to-right reader of text forms; ``pos`` is an offset into ``text``.
 
     Whitespace may separate tokens but never splits a number, and digits are
-    ASCII ``0``-``9`` only.  Errors about one character point at it; errors
-    about a whole list point at the list's opening bracket.
+    ASCII ``0``-``9`` only.  A number has at most 4300 digits, the
+    interpreter's default bound on converting text to ``int``.  Errors about
+    one character point at it; errors about a whole list point at the list's
+    opening bracket.
     """
 
     def __init__(self, text):
@@ -312,10 +314,9 @@ class Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a nonnegative integer", start)
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # past the interpreter's digit limit
-            raise ParseError("number too long", start) from None
+        if self.pos - start > 4300:
+            raise ParseError("number too long", start)
+        return int(self.text[start:self.pos])
 
     def _int_list(self, opener, closer):
         self.take(opener)

@@ -1,9 +1,9 @@
 """The graded module PNSym: free rational-linear combinations of mopiscotions.
 
 Basis keys are canonical (reduced) mopiscotions ``(alpha, sigma)``; elements
-carry exact ``Fraction`` coefficients and drop zero terms eagerly, so equality
-is plain key-by-key coefficient equality.  Three products/coproducts live
-here:
+carry exact coefficients, each an ``int`` when whole and a ``Fraction``
+otherwise, and drop zero terms eagerly, so equality is plain key-by-key
+coefficient equality.  Three products/coproducts live here:
 
 * :func:`external_mul` -- concatenate compositions, direct-sum permutations
   (mirrors convolution of the twisted operators);
@@ -15,6 +15,7 @@ cross-checking the projection ``to_nsym`` and its right inverse
 ``from_nsym``.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -36,14 +37,28 @@ def key_sort_key(key):
 class _Combination:
     """A finite rational combination of hashable keys, zero terms dropped.
 
-    Equality and addition are type-strict: combinations of different kinds
-    never compare equal, even when both are zero, and do not add.
+    Each coefficient is stored as an ``int`` when it is whole and as a
+    ``Fraction`` otherwise.  Equality and addition are type-strict:
+    combinations of different kinds never compare equal, even when both are
+    zero, and do not add.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {key: c for key, c in (terms or {}).items() if c}
+        self.terms = {
+            key: c.numerator if c.denominator == 1 else c
+            for key, c in (terms or {}).items()
+            if c
+        }
+
+    @classmethod
+    def sum(cls, pairs):
+        """The combination of the ``(key, coefficient)`` pairs, summed per key."""
+        terms = {}
+        for key, c in pairs:
+            terms[key] = terms.get(key, 0) + c
+        return cls(terms)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
@@ -54,10 +69,7 @@ class _Combination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return type(self)(terms)
+        return self.sum(itertools.chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -88,20 +100,17 @@ class PnsymElement(_Combination):
 
 
 ZERO = PnsymElement()
-UNIT = PnsymElement({EMPTY_KEY: Fraction(1)})
+UNIT = PnsymElement({EMPTY_KEY: 1})
 
 
 def from_weak_term(coeff, pair):
     """Single-term element keyed by the reduction of a weak mopiscotion."""
-    coeff = Fraction(coeff)
-    if not coeff:
-        return ZERO
     alpha, sigma = pair
     if not comb.is_weak_composition(alpha):
         raise ValueError(f"not a weak composition: {alpha}")
     if not comb.is_permutation(sigma):
         raise ValueError(f"not a permutation: {sigma}")
-    return PnsymElement({comb.reduce_pair(alpha, sigma): coeff})
+    return PnsymElement({comb.reduce_pair(alpha, sigma): Fraction(coeff)})
 
 
 def basis(alpha, sigma):
@@ -110,12 +119,11 @@ def basis(alpha, sigma):
 
 def external_mul(f, g):
     """Bilinear extension of F(a;s) . F(b;t) = F(ab; s (+) t)."""
-    terms = {}
-    for (a, s), c in f.terms.items():
-        for (b, t), d in g.terms.items():
-            key = (comb.concat(a, b), comb.direct_sum(s, t))
-            terms[key] = terms.get(key, Fraction(0)) + c * d
-    return PnsymElement(terms)
+    return PnsymElement.sum(
+        ((comb.concat(a, b), comb.direct_sum(s, t)), c * d)
+        for (a, s), c in f.terms.items()
+        for (b, t), d in g.terms.items()
+    )
 
 
 def internal_mul(f, g):
@@ -135,23 +143,22 @@ def internal_mul(f, g):
     g_by_degree = _by_degree(g, lambda key: sum(key[0]))
     terms = {}
     for (a, s), c in f.terms.items():
-        c = _whole(c)
         for (b, t), d in g_by_degree.get(sum(a), ()):
-            cd = _whole(c * d)
+            cd = c * d
             twist = comb.wreath_substitute(t, s)
             for kept, alphas in _table_groups(a, b, shapes):
                 sigma = comb.standardize([twist[i] for i in kept])
                 for alpha in alphas:
                     key = (alpha, sigma)
                     terms[key] = terms.get(key, 0) + cd
-    return PnsymElement(_fractions(terms))
+    return PnsymElement(terms)
 
 
 def _by_degree(g, degree):
-    """The terms of ``g`` by degree, coefficients made whole where they are."""
+    """The terms of ``g`` by degree."""
     out = {}
     for key, d in g.terms.items():
-        out.setdefault(degree(key), []).append((key, _whole(d)))
+        out.setdefault(degree(key), []).append((key, d))
     return out
 
 
@@ -175,16 +182,6 @@ def _table_groups(a, b, shapes):
     return groups
 
 
-def _whole(c):
-    """A Fraction with denominator 1 as an int, which adds much faster."""
-    return c.numerator if c.denominator == 1 else c
-
-
-def _fractions(terms):
-    """Accumulated coefficients, ints among them, as nonzero Fractions."""
-    return {key: Fraction(c) for key, c in terms.items() if c}
-
-
 def degree_component(f, n):
     return PnsymElement(
         {key: c for key, c in f.terms.items() if sum(key[0]) == n}
@@ -192,7 +189,7 @@ def degree_component(f, n):
 
 
 def counit(f):
-    return f.terms.get(EMPTY_KEY, Fraction(0))
+    return f.terms.get(EMPTY_KEY, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +218,11 @@ def coproduct(f):
     reduced.  Distinct splittings may reduce to the same pair of keys, so
     coefficients accumulate.
     """
-    terms = {}
-    for (alpha, sigma), c in f.terms.items():
-        for beta, gamma in comb.entrywise_splittings(alpha):
-            key = (
-                comb.reduce_pair(beta, sigma),
-                comb.reduce_pair(gamma, sigma),
-            )
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return PnsymTensor(terms)
+    return PnsymTensor.sum(
+        ((comb.reduce_pair(beta, sigma), comb.reduce_pair(gamma, sigma)), c)
+        for (alpha, sigma), c in f.terms.items()
+        for beta, gamma in comb.entrywise_splittings(alpha)
+    )
 
 
 def antipode(f):
@@ -241,11 +234,11 @@ def antipode(f):
     so the recursion terminates; a per-call memo keeps it polynomial.
     """
     memo = {}
-    out = {}
-    for key, c in f.terms.items():
-        for k2, d in _antipode_key(key, memo).terms.items():
-            out[k2] = out.get(k2, Fraction(0)) + c * d
-    return PnsymElement(out)
+    return PnsymElement.sum(
+        (k2, c * d)
+        for key, c in f.terms.items()
+        for k2, d in _antipode_key(key, memo).terms.items()
+    )
 
 
 def _antipode_key(key, memo):
@@ -253,14 +246,13 @@ def _antipode_key(key, memo):
         return UNIT
     if key in memo:
         return memo[key]
-    acc = {key: Fraction(-1)}
-    for (left, right), c in coproduct(PnsymElement({key: Fraction(1)})).terms.items():
+    acc = [(key, -1)]
+    for (left, right), c in coproduct(PnsymElement({key: 1})).terms.items():
         if EMPTY_KEY in (left, right):
             continue  # proper part only
         prod = external_mul(_antipode_key(left, memo), PnsymElement({right: c}))
-        for k2, d in prod.terms.items():
-            acc[k2] = acc.get(k2, Fraction(0)) - d
-    result = PnsymElement(acc)
+        acc.extend((k2, -d) for k2, d in prod.terms.items())
+    result = PnsymElement.sum(acc)
     memo[key] = result
     return result
 
@@ -300,34 +292,28 @@ def nsym_basis(alpha):
     alpha = tuple(alpha)
     if not comb.is_composition(alpha):
         raise ValueError(f"not a composition: {alpha}")
-    return NsymElement({alpha: Fraction(1)})
+    return NsymElement({alpha: 1})
 
 
 def to_nsym(f):
     """The projection F(a;s) -> H_a, extended linearly."""
-    terms = {}
-    for (alpha, _), c in f.terms.items():
-        terms[alpha] = terms.get(alpha, Fraction(0)) + c
-    return NsymElement(terms)
+    return NsymElement.sum((alpha, c) for (alpha, _), c in f.terms.items())
 
 
 def from_nsym(h):
     """The injection H_a -> F(a; identity), extended linearly."""
-    terms = {}
-    for alpha, c in h.terms.items():
-        key = (alpha, comb.identity(len(alpha)))
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return PnsymElement(terms)
+    return PnsymElement.sum(
+        ((alpha, comb.identity(len(alpha))), c) for alpha, c in h.terms.items()
+    )
 
 
 def nsym_external_mul(f, g):
     """H_a . H_b = H_(ab): concatenation, extended bilinearly."""
-    terms = {}
-    for a, c in f.terms.items():
-        for b, d in g.terms.items():
-            key = comb.concat(a, b)
-            terms[key] = terms.get(key, Fraction(0)) + c * d
-    return NsymElement(terms)
+    return NsymElement.sum(
+        (comb.concat(a, b), c * d)
+        for a, c in f.terms.items()
+        for b, d in g.terms.items()
+    )
 
 
 def nsym_internal_mul(f, g):
@@ -340,35 +326,28 @@ def nsym_internal_mul(f, g):
     g_by_degree = _by_degree(g, sum)
     terms = {}
     for a, c in f.terms.items():
-        c = _whole(c)
         for b, d in g_by_degree.get(sum(a), ()):
-            cd = _whole(c * d)
+            cd = c * d
             for _, alphas in _table_groups(a, b, shapes):
                 for alpha in alphas:
                     terms[alpha] = terms.get(alpha, 0) + cd
-    return NsymElement(_fractions(terms))
+    return NsymElement(terms)
 
 
 def nsym_coproduct(f):
     """Entrywise splittings with zeros dropped; plain dict of key pairs."""
-    terms = {}
-    for alpha, c in f.terms.items():
-        for beta, gamma in comb.entrywise_splittings(alpha):
-            key = (
-                tuple(x for x in beta if x),
-                tuple(x for x in gamma if x),
-            )
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return {key: c for key, c in terms.items() if c}
+    return _Combination.sum(
+        ((tuple(x for x in beta if x), tuple(x for x in gamma if x)), c)
+        for alpha, c in f.terms.items()
+        for beta, gamma in comb.entrywise_splittings(alpha)
+    ).terms
 
 
 def tensor_to_nsym(t):
     """Apply the NSym projection to both legs of a tensor; plain dict."""
-    terms = {}
-    for ((a1, _), (a2, _)), c in t.terms.items():
-        key = (a1, a2)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return {key: c for key, c in terms.items() if c}
+    return _Combination.sum(
+        ((a1, a2), c) for ((a1, _), (a2, _)), c in t.terms.items()
+    ).terms
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +426,7 @@ def parse_element(text):
     if text.strip() == "0":
         return ZERO
     sc = comb.Scanner(text)
-    result = ZERO
+    terms = []
     first = True
     while True:
         sign = 1
@@ -465,7 +444,7 @@ def parse_element(text):
             if sc.peek() == "*":
                 sc.take("*")
         sc.take("F")
-        result = result + from_weak_term(sign * coeff, sc.pair())
+        terms.extend(from_weak_term(sign * coeff, sc.pair()).terms.items())
         first = False
         if sc.at_end():
-            return result
+            return PnsymElement.sum(terms)

@@ -7,10 +7,11 @@ The main model is the free algebra on triangular generators x(i,j) for
 
 Words are tuples of (i,j) letters (unit letters never stored); elements are
 rational combinations of words; tensors are combinations of fixed-arity
-tuples of words.  Everything -- iterated coproducts, leg-wise degree
-projections, the permutation action on tensor factors, and the twisted
-operators built from them -- is computed from first principles so the
-closed formulas elsewhere in the package can be checked against it.
+tuples of words.  Each coefficient is stored as an ``int`` when it is whole
+and as a ``Fraction`` otherwise.  Everything -- iterated coproducts, leg-wise
+degree projections, the permutation action on tensor factors, and the
+twisted operators built from them -- is computed from first principles so
+the closed formulas elsewhere in the package can be checked against it.
 
 A second model (free on primitive degree-1 generators, cocommutative) backs
 the checks that only hold under cocommutativity.
@@ -35,8 +36,17 @@ def word_degree(word):
     return sum(letter_degree(x) for x in word)
 
 
+def _summed(pairs):
+    """The ``(key, coefficient)`` pairs summed per key, from 0."""
+    terms = {}
+    for key, c in pairs:
+        terms[key] = terms.get(key, 0) + c
+    return terms
+
+
 class FreeElement:
-    """Rational combination of words.
+    """Rational combination of words, zero terms dropped and whole
+    coefficients stored as ``int``.
 
     The arithmetic here is kept apart from :mod:`pnsym.core` on purpose:
     the oracle is the reference the core is checked against.
@@ -46,7 +56,11 @@ class FreeElement:
     arity = None
 
     def __init__(self, terms=None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+        self.terms = {
+            w: c.numerator if c.denominator == 1 else c
+            for w, c in (terms or {}).items()
+            if c
+        }
 
     def _like(self, terms):
         return FreeElement(terms)
@@ -66,10 +80,9 @@ class FreeElement:
             return NotImplemented
         if self.arity != other.arity:
             raise ValueError("cannot add tensors of different arities")
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return self._like(terms)
+        return self._like(
+            _summed(itertools.chain(self.terms.items(), other.terms.items()))
+        )
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -92,13 +105,11 @@ class FreeTensor(FreeElement):
     __slots__ = ("arity",)
 
     def __init__(self, arity, terms=None):
-        self.arity = arity
-        self.terms = {}
-        for legs, c in (terms or {}).items():
+        for legs in terms or ():
             if len(legs) != arity:
                 raise ValueError(f"expected {arity} legs, got {len(legs)}")
-            if c:
-                self.terms[legs] = c
+        self.arity = arity
+        super().__init__(terms)
 
     def _like(self, terms):
         return FreeTensor(self.arity, terms)
@@ -112,18 +123,18 @@ def element(word, coeff=1):
 
 
 def one():
-    return FreeElement({(): Fraction(1)})
+    return FreeElement({(): 1})
 
 
 def tensor_of_elements(*elements_):
     """Pure tensor of the given elements, multiplied out."""
-    terms = {(): Fraction(1)}
+    terms = {(): 1}
     for e in elements_:
-        new = {}
-        for legs, c in terms.items():
-            for w, d in e.terms.items():
-                new[legs + (w,)] = new.get(legs + (w,), Fraction(0)) + c * d
-        terms = new
+        terms = _summed(
+            (legs + (w,), c * d)
+            for legs, c in terms.items()
+            for w, d in e.terms.items()
+        )
     return FreeTensor(len(elements_), terms)
 
 
@@ -199,13 +210,12 @@ class PrimitiveTensorModel:
 
 def element_mul(model, f, g):
     """Product in the model: concatenation of words, bilinear."""
-    terms = {}
-    for w1, c in f.terms.items():
-        for w2, d in g.terms.items():
-            w = w1 + w2
-            if model.admits(w):
-                terms[w] = terms.get(w, Fraction(0)) + c * d
-    return FreeElement(terms)
+    return FreeElement(_summed(
+        (w1 + w2, c * d)
+        for w1, c in f.terms.items()
+        for w2, d in g.terms.items()
+        if model.admits(w1 + w2)
+    ))
 
 
 def _word_delta(model, k, word, target=None):
@@ -240,20 +250,18 @@ def delta_power(model, k, f):
     morphism); k = 0 is the counit landing in arity-0 tensors, k = 1 the
     identity.
     """
-    out = {}
-    for word, c in f.terms.items():
-        for legs, mult in _word_delta(model, k, word).items():
-            out[legs] = out.get(legs, Fraction(0)) + c * mult
-    return FreeTensor(k, out)
+    return FreeTensor(k, _summed(
+        (legs, c * mult)
+        for word, c in f.terms.items()
+        for legs, mult in _word_delta(model, k, word).items()
+    ))
 
 
 def m_power(t):
     """Multiply all legs together (in order); arity 0 embeds scalars."""
-    terms = {}
-    for legs, c in t.terms.items():
-        word = tuple(x for leg in legs for x in leg)
-        terms[word] = terms.get(word, Fraction(0)) + c
-    return FreeElement(terms)
+    return FreeElement(_summed(
+        (tuple(x for leg in legs for x in leg), c) for legs, c in t.terms.items()
+    ))
 
 
 def project_multi(t, alpha):
@@ -277,11 +285,10 @@ def permute_tensor(t, pi):
             f"permutation of degree {len(pi)} on arity-{t.arity} tensor"
         )
     inv = comb.inverse(pi)
-    terms = {}
-    for legs, c in t.terms.items():
-        moved = tuple(legs[inv[r] - 1] for r in range(t.arity))
-        terms[moved] = terms.get(moved, Fraction(0)) + c
-    return FreeTensor(t.arity, terms)
+    return FreeTensor(t.arity, _summed(
+        (tuple(legs[inv[r] - 1] for r in range(t.arity)), c)
+        for legs, c in t.terms.items()
+    ))
 
 
 def degree_part(f, n):
@@ -314,27 +321,23 @@ def apply_pas(model, alpha, sigma, f):
     if any(a < 0 for a in alpha):
         return FreeElement({})  # no leg has negative degree
     n = sum(alpha)
-    out = {}
-    for word, c in f.terms.items():
+    return FreeElement(_summed(
+        (tuple(x for s in sigma for x in legs[s - 1]), c * mult)
+        for word, c in f.terms.items()
         # legs sum to the word's degree, so bounded legs meet alpha exactly
-        if word_degree(word) != n:
-            continue
-        images = {}
-        for legs, mult in _word_delta(model, len(alpha), word, target).items():
-            w = tuple(x for s in sigma for x in legs[s - 1])
-            images[w] = images.get(w, 0) + mult
-        for w, mult in images.items():
-            out[w] = out.get(w, Fraction(0)) + c * mult
-    return FreeElement(out)
+        if word_degree(word) == n
+        for legs, mult in _word_delta(model, len(alpha), word, target).items()
+    ))
 
 
 def convolve(model, phi, psi, f):
     """The convolution (phi * psi)(f) = m((phi (x) psi)(coproduct f)), by
     Sweedler expansion in the model."""
-    out = FreeElement({})
-    for (w1, w2), c in delta_power(model, 2, f).terms.items():
-        out = out + c * element_mul(model, phi(element(w1)), psi(element(w2)))
-    return out
+    return FreeElement(_summed(
+        (w, c * d)
+        for (w1, w2), c in delta_power(model, 2, f).terms.items()
+        for w, d in element_mul(model, phi(element(w1)), psi(element(w2))).terms.items()
+    ))
 
 
 def apply_convolution_of_projections(model, alpha, f):
@@ -349,7 +352,7 @@ def apply_convolution_of_projections(model, alpha, f):
         return lambda e: degree_part(e, n)
 
     def unit_counit(e):
-        c = e.terms.get((), Fraction(0))
+        c = e.terms.get((), 0)
         return FreeElement({(): c})
 
     if not alpha:
@@ -362,10 +365,11 @@ def apply_convolution_of_projections(model, alpha, f):
 
 def evaluate_pnsym(model, f, x):
     """Act by an element of PNSym: each basis key acts as its operator."""
-    out = FreeElement({})
-    for (alpha, sigma), c in f.terms.items():
-        out = out + c * apply_pas(model, alpha, sigma, x)
-    return out
+    return FreeElement(_summed(
+        (w, c * d)
+        for (alpha, sigma), c in f.terms.items()
+        for w, d in apply_pas(model, alpha, sigma, x).terms.items()
+    ))
 
 
 def apply_pas_on_tensor_square(model, alpha, sigma, t):
@@ -399,7 +403,7 @@ def apply_pas_on_tensor_square(model, alpha, sigma, t):
                 left = tuple(x for a, _ in pairs for x in a)
                 right = tuple(x for _, b in pairs for x in b)
                 key = (left, right)
-                out[key] = out.get(key, Fraction(0)) + c * cw * cv
+                out[key] = out.get(key, 0) + c * cw * cv
     return FreeTensor(2, out)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import combinatorics as comb
 from . import core
 from . import oracle
-from .oracle import FreeTensor, element
+from .oracle import FreeTensor, _summed, element
 
 
 @dataclass(frozen=True)
@@ -100,21 +100,17 @@ def _leg_pool(model):
 
 def _probe_tensors(model, arity):
     if arity == 0:
-        return [
-            FreeTensor(0, {(): Fraction(1)}),
-            FreeTensor(0, {(): Fraction(3, 2)}),
-        ]
+        return [FreeTensor(0, {(): 1}), FreeTensor(0, {(): Fraction(3, 2)})]
     pool = _leg_pool(model)
     key1 = tuple(pool[r % len(pool)] for r in range(arity))
     key2 = tuple(pool[(r + 2) % len(pool)] for r in range(arity))
-    mixed = {key1: Fraction(1, 2)}
-    mixed[key2] = mixed.get(key2, Fraction(0)) + Fraction(2)
-    return [FreeTensor(arity, {key1: Fraction(1)}), FreeTensor(arity, mixed)]
+    mixed = _summed([(key1, Fraction(1, 2)), (key2, 2)])
+    return [FreeTensor(arity, {key1: 1}), FreeTensor(arity, mixed)]
 
 
 def _legwise_delta(model, t, k):
     """Apply the k-fold coproduct to every leg, flattening block-wise."""
-    terms = {}
+    pairs = []
     for legs, c in t.terms.items():
         partial = [((), c)]
         for w in legs:
@@ -124,23 +120,27 @@ def _legwise_delta(model, t, k):
                 for acc, cc in partial
                 for key, d in dw.terms.items()
             ]
-        for key, cc in partial:
-            terms[key] = terms.get(key, Fraction(0)) + cc
-    return FreeTensor(t.arity * k, terms)
+        pairs.extend(partial)
+    return FreeTensor(t.arity * k, _summed(pairs))
 
 
 def _block_merge(t, k, length):
     """Concatenate consecutive blocks of ``length`` legs: arity k*length -> k."""
     if t.arity != k * length:
         raise ValueError("arity mismatch")
-    terms = {}
-    for legs, c in t.terms.items():
-        new = tuple(
+
+    def merged(legs):
+        return tuple(
             tuple(itertools.chain.from_iterable(legs[b * length:(b + 1) * length]))
             for b in range(k)
         )
-        terms[new] = terms.get(new, Fraction(0)) + c
-    return FreeTensor(k, terms)
+
+    return FreeTensor(k, _summed((merged(legs), c) for legs, c in t.terms.items()))
+
+
+def _tensor_sum(arity, tensors):
+    """The sum of arity-``arity`` tensors, in one pass."""
+    return FreeTensor(arity, _summed(pair for t in tensors for pair in t.terms.items()))
 
 
 def _case_label(*parts):
@@ -263,14 +263,14 @@ def _fam_tensor_square_expansion(cfg):
     for alpha, sigma in _mopiscotions_up_to(cfg.max_size):
         for pname, t in probes:
             lhs = oracle.apply_pas_on_tensor_square(model, alpha, sigma, t)
-            rhs = FreeTensor(2)
-            for beta, gamma in comb.entrywise_splittings(alpha):
-                for (w, v), c in t.terms.items():
-                    piece = oracle.tensor_of_elements(
-                        oracle.apply_pas(model, beta, sigma, element(w)),
-                        oracle.apply_pas(model, gamma, sigma, element(v)),
-                    )
-                    rhs = rhs + c * piece
+            rhs = _tensor_sum(2, (
+                c * oracle.tensor_of_elements(
+                    oracle.apply_pas(model, beta, sigma, element(w)),
+                    oracle.apply_pas(model, gamma, sigma, element(v)),
+                )
+                for beta, gamma in comb.entrywise_splittings(alpha)
+                for (w, v), c in t.terms.items()
+            ))
             yield _case_label(comb.format_pair(alpha, sigma), pname), lhs == rhs
 
 
@@ -385,9 +385,9 @@ def _fam_projection_product_split(cfg):
     for k, length, gamma, flats in _projection_splits(cfg):
         for i, t in enumerate(_probe_tensors(model, k * length)):
             lhs = oracle.project_multi(_block_merge(t, k, length), gamma)
-            rhs = FreeTensor(k)
-            for flat in flats:
-                rhs = rhs + _block_merge(oracle.project_multi(t, flat), k, length)
+            rhs = _tensor_sum(k, (
+                _block_merge(oracle.project_multi(t, flat), k, length) for flat in flats
+            ))
             yield _case_label(k, length, comb.format_composition(gamma), f"t{i}"), lhs == rhs
 
 
@@ -398,9 +398,7 @@ def _fam_projection_coproduct_split(cfg):
         for i, t in enumerate(_probe_tensors(model, k)):
             lhs = _legwise_delta(model, oracle.project_multi(t, gamma), length)
             spread = _legwise_delta(model, t, length)
-            rhs = FreeTensor(k * length)
-            for flat in flats:
-                rhs = rhs + oracle.project_multi(spread, flat)
+            rhs = _tensor_sum(k * length, (oracle.project_multi(spread, flat) for flat in flats))
             yield _case_label(k, length, comb.format_composition(gamma), f"t{i}"), lhs == rhs
 
 

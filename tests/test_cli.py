@@ -1,8 +1,12 @@
 """The pnsym command line: output text, JSON mirrors, exit codes."""
 
+import contextlib
+import io
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnsym import cli
 
@@ -91,8 +95,8 @@ def test_parse_failure_exits_2_with_a_diagnostic(capsys):
     ["antipode", "3/0*F((1);[1])"],
     ["reduce", "((1,2);[1,1])"],
     ["check", "p1+q", "--degree", "1"],
-    ["rank", "2000"],
-    ["rank", "2000", "--json"],
+    ["reduce", "((" + "1" * 5000 + ");[1])"],
+    ["reduce", "((" + "1" * 5000 + ");[1])", "--json"],
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -112,6 +116,17 @@ def test_rank(capsys):
     assert out == "1\n"
     code, out, _ = run(capsys, "rank", "7", "--json")
     assert json.loads(out) == {"n": 7, "rank": 11743}
+
+
+def test_a_rank_past_the_digit_limit_prints_in_full(capsys):
+    # 5736 digits, past the interpreter's default int-to-text bound
+    code, out, err = run(capsys, "rank", "2000")
+    assert (code, err) == (0, "")
+    assert len(out) == 5737 and out.startswith("9010063036818906658") and out[:-1].isdigit()
+    code, out, err = run(capsys, "rank", "2000", "--json")
+    assert (code, err) == (0, "")
+    value = json.loads(out)
+    assert value["n"] == 2000 and len(str(value["rank"])) == 5736
 
 
 def test_rank_rejects_negative_input(capsys):
@@ -165,6 +180,16 @@ def test_check_convolution_power_costs_at_most_degree_products(capsys):
     code, out, _ = run(capsys, "check", "id^*99999999", "--degree", "2")
     assert code == 1
     assert out == "fails: 4999999850000001*F((1,1);[1,2])\n"
+
+
+def test_check_with_a_huge_witness_exits_1(capsys):
+    # the witness is 2^20000, 6021 digits
+    code, out, err = run(capsys, "check", "(2 ue)^*20000", "--degree", "0")
+    assert (code, err) == (1, "")
+    assert out == f"fails: {2 ** 20000}*F(();[])\n"
+    code, out, err = run(capsys, "check", "(2 ue)^*20000", "--degree", "0", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["witness"] == {"coeff": str(2 ** 20000), "alpha": [], "sigma": []}
 
 
 def test_check_expression_error_exits_2(capsys):
@@ -258,3 +283,89 @@ def test_identical_invocations_are_byte_identical(capsys):
     third = run(capsys, "verify", "--model-size", "3", "--max-size", "2")
     fourth = run(capsys, "verify", "--model-size", "3", "--max-size", "2")
     assert third == fourth
+
+
+# exit-code contract under fuzzing ---------------------------------------------------
+
+# weak compositions of length and degree at most 3
+WEAK = [a for k in range(4) for a in itertools.product(range(4), repeat=k) if sum(a) <= 3]
+
+
+@st.composite
+def pair_texts(draw):
+    alpha = draw(st.sampled_from(WEAK))
+    sigma = draw(st.permutations(range(1, len(alpha) + 1)))
+    if draw(st.integers(0, 5)) == 0:  # now and then a list that may not be one
+        sigma = draw(st.lists(st.integers(0, 4), max_size=3))
+    return f"(({','.join(map(str, alpha))});[{','.join(map(str, sigma))}])"
+
+
+scalars = st.builds(
+    lambda num, den: str(num) if den is None else f"{num}/{den}",
+    st.integers(0, 30),
+    st.none() | st.integers(0, 4),
+)
+
+garbage = st.text("F()[];,0123/*+-^ pSidueo", max_size=20)
+
+
+@st.composite
+def element_texts(draw):
+    terms = []
+    for i in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(["", "-"] if i == 0 else [" + ", " - "]))
+        coeff = draw(st.just("") | scalars.map(lambda c: c + "*"))
+        terms.append(f"{sign}{coeff}F{draw(pair_texts())}")
+    return "".join(terms)
+
+
+@st.composite
+def expressions(draw):
+    parts = []
+    for i in range(draw(st.integers(1, 3))):
+        atoms = st.sampled_from(["p0", "p1", "p2", "p3", "id", "S", "ue"])
+        atom = draw(atoms | pair_texts().map(lambda pair: "F" + pair))
+        if draw(st.booleans()):
+            atom = f"{draw(scalars)} {atom}"
+        if draw(st.booleans()):
+            power = draw(st.sampled_from(["^", "^*"]))
+            atom = f"({atom}){power}{draw(st.integers(0, 30))}"
+        if i:
+            parts.append(draw(st.sampled_from(["+", "-", "*", "o"])))
+        parts.append(atom)
+    return " ".join(parts)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(
+        ["mul", "imul", "coproduct", "antipode", "reduce", "rank", "check"]
+    ))
+    flags = draw(st.sampled_from([[], ["--json"]]))
+    if command == "rank":
+        return [command, *flags, str(draw(st.integers(0, 2500)))]
+    if command == "check":
+        flags = [*flags, "--degree", str(draw(st.integers(0, 3)))]
+        texts = expressions()
+    elif command == "reduce":
+        texts = pair_texts()
+    else:
+        texts = element_texts()
+    operands = 2 if command in ("mul", "imul") else 1
+    # "--" keeps a text that starts with "-" from reading as an option
+    return [command, *flags, "--", *(draw(texts | garbage) for _ in range(operands))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_every_run_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+    else:
+        assert err.getvalue() == "" and out.getvalue().endswith("\n")

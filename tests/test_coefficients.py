@@ -1,0 +1,110 @@
+"""Every producer stores its coefficients in one canonical form: nonzero, an
+``int`` when whole and a ``Fraction`` with denominator above 1 otherwise."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from pnsym import checker, core, oracle
+from pnsym import combinatorics as comb
+
+
+def canonical(terms):
+    """Are all the coefficients of a ``terms`` dict in canonical form?"""
+    return all(
+        c and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+        for c in terms.values()
+    )
+
+
+KEYS = [key for n in range(4) for key in comb.mopiscotions(n)]
+# whole Fractions and zero included, so that sums and products can land on them
+COEFFICIENTS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def elements(draw):
+    pairs = draw(st.lists(st.tuples(st.sampled_from(KEYS), COEFFICIENTS), max_size=3))
+    return sum((core.from_weak_term(c, key) for key, c in pairs), core.ZERO)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(), elements())
+def test_core_producers(f, g):
+    f_n, g_n = core.to_nsym(f), core.to_nsym(g)
+    for result in [
+        f,
+        f - g,
+        Fraction(3, 2) * f,
+        core.external_mul(f, g),
+        core.internal_mul(f, g),
+        core.coproduct(f),
+        core.antipode(f),
+        f_n,
+        core.from_nsym(f_n),
+        core.nsym_external_mul(f_n, g_n),
+        core.nsym_internal_mul(f_n, g_n),
+    ]:
+        assert canonical(result.terms), result
+    assert canonical(core.nsym_coproduct(f_n))
+    assert canonical(core.tensor_to_nsym(core.coproduct(f)))
+
+
+@given(st.lists(
+    st.tuples(st.sampled_from(KEYS), st.integers(0, 6), st.integers(1, 3)), min_size=1, max_size=3
+))
+def test_parsed_elements(terms):
+    text = " + ".join(f"{num}/{den}*F{core.format_key(key)}" for key, num, den in terms)
+    assert canonical(core.parse_element(text).terms), text
+
+
+@given(
+    st.sampled_from([
+        "2 id",
+        "1/2 p1 * p2 - S",
+        "(p1 - 3/2 p2)^2",
+        "id^*3",
+        "S o S - id",
+        "(2 ue)^*3",
+        "1/2 F((1,1);[2,1]) o 4/2 p2",
+    ]),
+    st.integers(0, 3),
+)
+def test_expansions(expr, m):
+    assert canonical(checker.expand(checker.parse(expr), m).terms)
+
+
+MODELS = [oracle.TriangularModel(4), oracle.PrimitiveTensorModel(2, cap=4)]
+
+
+@st.composite
+def free_elements(draw, model):
+    words = st.lists(st.sampled_from(model.generators()), max_size=3).map(tuple)
+    pairs = draw(st.lists(st.tuples(words, COEFFICIENTS), min_size=1, max_size=3))
+    return sum((oracle.element(w, c) for w, c in pairs), oracle.FreeElement({}))
+
+
+@st.composite
+def oracle_cases(draw):
+    model = draw(st.sampled_from(MODELS))
+    return model, draw(free_elements(model)), draw(free_elements(model))
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_cases(), st.sampled_from(KEYS), st.integers(0, 3), elements())
+def test_oracle_producers(case, key, k, f):
+    model, x, y = case
+    alpha, sigma = key
+    square = oracle.tensor_of_elements(x, y)
+    for result in [
+        x,
+        x - y,
+        oracle.element_mul(model, x, y),
+        oracle.apply_pas(model, alpha, sigma, x),
+        oracle.delta_power(model, k, x),
+        oracle.convolve(model, lambda e: Fraction(1, 2) * e, lambda e: oracle.degree_part(e, 1), x),
+        oracle.evaluate_pnsym(model, f, x),
+        square,
+        oracle.apply_pas_on_tensor_square(model, alpha, sigma, square),
+    ]:
+        assert canonical(result.terms), result

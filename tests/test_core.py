@@ -11,6 +11,7 @@ from pnsym import combinatorics as comb
 from pnsym import core
 
 from hopf_reference import convolve_maps, tensor_mul, tensor_of
+from test_coefficients import canonical
 
 
 F = core.basis
@@ -55,6 +56,15 @@ def test_from_weak_term_validates():
         core.from_weak_term(1, ((1, -1), (1, 2)))
     with pytest.raises(ValueError):
         core.from_weak_term(1, ((1, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("pair", [((1,), (1, 2)), ((True,), (1,)), ((-1,), (1,))])
+def test_from_weak_term_validates_a_zero_term_too(pair):
+    with pytest.raises(ValueError) as nonzero:
+        core.from_weak_term(1, pair)
+    with pytest.raises(ValueError) as zero:
+        core.from_weak_term(0, pair)
+    assert str(zero.value) == str(nonzero.value)
 
 
 @pytest.mark.parametrize(
@@ -209,11 +219,11 @@ def test_internal_products_match_the_reference():
     for f, g in _kernel_cases():
         got = core.internal_mul(f, g)
         assert got == _reference_internal_mul(f, g)
-        assert all(type(c) is Fraction for c in got.terms.values())
+        assert canonical(got.terms)
         f_n, g_n = core.to_nsym(f), core.to_nsym(g)
         got_n = core.nsym_internal_mul(f_n, g_n)
         assert got_n == _reference_nsym_internal_mul(f_n, g_n)
-        assert all(type(c) is Fraction for c in got_n.terms.values())
+        assert canonical(got_n.terms)
 
 
 def test_the_reference_bracket_power_cancels():
