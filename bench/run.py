@@ -1,0 +1,152 @@
+"""Time pnsym end to end and layer by layer, and append the result to a
+``BENCH_<n>.json`` file.
+
+Run from anywhere, standard library only::
+
+    python3 bench/run.py BENCH_9.json LABEL [--src DIR]
+
+``--src`` is the directory holding the ``pnsym`` package to time (default:
+this checkout's ``src``), so that two trees can be recorded side by side in
+one file.  Each timing is the median of 5 runs.  The entry records the CPU
+count and the Python version.
+
+End to end: ``pnsym ktable`` on (1,5), (2,4) and (1,6), each run a fresh
+process.  Layers, each timed alone on fixed inputs:
+
+* ``internal_mul`` -- the ``imul`` calls among the first 800 calls of
+  perfbench's hopf stream at seed 1, and the products that build the
+  composition powers of k(1,5);
+* ``contingency_tables`` -- every (row sums, column sums) call those
+  ``internal_mul`` calls make, in their order, each stream read to its end;
+* ``antipode`` -- the ``antipode`` calls of the same hopf stream.
+
+The inputs are recorded once, before any timing, and are the same for any
+tree that computes the same products.
+"""
+
+import argparse
+import contextlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+KTABLE = [(1, 5), (2, 4), (1, 6)]
+HOPF_SEED = 1
+HOPF_CALLS = 800
+RUNS = 5
+
+
+def median_time(fn):
+    times = []
+    for _ in range(RUNS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def ktable(src, i, j):
+    """One ``pnsym ktable i j`` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys; from pnsym.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run(
+        [sys.executable, "-c", code, "ktable", str(i), str(j)],
+        env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+
+
+@contextlib.contextmanager
+def recording(module, name, calls):
+    """Append the arguments of every call to ``module.name`` to ``calls``."""
+    fn = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    setattr(module, name, recorded)
+    try:
+        yield
+    finally:
+        setattr(module, name, fn)
+
+
+def layer_inputs(checker, comb, core):
+    """The fixed inputs of each layer timing, by name."""
+    sys.dont_write_bytecode = True  # leave no cache files under perfbench/
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import Hopf
+
+    stream = Hopf(HOPF_SEED)
+    calls = [stream.next_call() for _ in range(HOPF_CALLS)]
+    hopf_imul = [args for op, _, args, _ in calls if op == "imul"]
+    hopf_antipode = [args for op, _, args, _ in calls if op == "antipode"]
+    k15_imul = []
+    with recording(core, "internal_mul", k15_imul):
+        checker.k_value(1, 5, 12)
+    tables = {}
+    for name, imuls in (("hopf", hopf_imul), ("k15", k15_imul)):
+        tables[name] = []
+        with recording(comb, "contingency_tables", tables[name]):
+            for args in imuls:
+                core.internal_mul(*args)
+    return {
+        "contingency_tables hopf": (comb.contingency_tables, tables["hopf"]),
+        "contingency_tables k15": (comb.contingency_tables, tables["k15"]),
+        "internal_mul hopf": (core.internal_mul, hopf_imul),
+        "internal_mul k15": (core.internal_mul, k15_imul),
+        "antipode hopf": (core.antipode, hopf_antipode),
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", type=Path, help="the BENCH_<n>.json file to append to")
+    ap.add_argument("label", help="what the entry measures, e.g. a commit")
+    ap.add_argument("--src", type=Path, default=ROOT / "src")
+    args = ap.parse_args(argv)
+    src = args.src.resolve()
+
+    sys.path.insert(0, str(src))
+    from pnsym import checker, combinatorics as comb, core
+
+    entry = {
+        "label": args.label,
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "runs": RUNS,
+        "end_to_end_s": {},
+        "layers_s": {},
+        "layer_calls": {},
+    }
+    for i, j in KTABLE:
+        entry["end_to_end_s"][f"ktable {i} {j}"] = median_time(lambda: ktable(src, i, j))
+    for name, (fn, inputs) in layer_inputs(checker, comb, core).items():
+        if fn is comb.contingency_tables:
+            def run(inputs=inputs):
+                for a, b in inputs:
+                    for _ in comb.contingency_tables(a, b):
+                        pass
+        else:
+            def run(fn=fn, inputs=inputs):
+                for call in inputs:
+                    fn(*call)
+        entry["layer_calls"][name] = len(inputs)
+        entry["layers_s"][name] = median_time(run)
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {"entries": []}
+    record["entries"].append(entry)
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    json.dump(entry, sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

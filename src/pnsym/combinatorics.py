@@ -202,47 +202,56 @@ def mopiscotions(n):
 
 def contingency_tables(alpha, beta):
     """All k x l nonnegative-integer matrices with row sums ``alpha`` and
-    column sums ``beta``.
+    column sums ``beta``, each as ``(cells, values)``: the positions of its
+    nonzero entries in the row-major flattening, and those entries.
 
-    Tables are emitted as tuples of row tuples, in lexicographic order of
-    the row-major flattening.  The stream is empty when the two sums
-    disagree; for alpha = beta = () it holds the single 0 x 0 table.
-
-    The enumeration fills rows recursively, keeping the running column
-    budgets (the part of each column sum not yet consumed) so dead branches
-    are pruned as soon as a row cannot be completed.
+    Tables come in lexicographic order of the flattening; none when the sums
+    disagree, one, ``((), ())``, for alpha = beta = ().  A dynamic program on
+    (row index, remaining column budgets), memoized for the call, builds them
+    all before the first is yielded; the last row takes the budgets left.
     """
     alpha, beta = tuple(alpha), tuple(beta)
     if sum(alpha) != sum(beta):
         return
+    last, l = len(alpha) - 1, len(beta)
+    memo = {}
 
-    def row_fills(total, budgets):
-        # vectors 0 <= r <= budgets entrywise with sum(r) == total, lex order
-        if not budgets:
-            if total == 0:
-                yield ()
-            return
-        lo = max(0, total - sum(budgets[1:]))
-        hi = min(total, budgets[0])
-        for v in range(lo, hi + 1):
-            for rest in row_fills(total - v, budgets[1:]):
-                yield (v,) + rest
+    def tables(i, budgets):
+        # the fills of rows i.. under ``budgets``
+        found = memo.get((i, budgets))
+        if found is None:
+            if i == last:
+                found = [(tuple(i * l + j for j, b in enumerate(budgets) if b),
+                          tuple(b for b in budgets if b))]
+            else:
+                found = [
+                    (cells + tail_cells, values + tail_values)
+                    for cells, values, rest in _row_fills(alpha[i], budgets, i * l)
+                    for tail_cells, tail_values in tables(i + 1, rest)
+                ]
+            memo[i, budgets] = found
+        return found
 
-    def fill(i, budgets):
-        if i == len(alpha):
-            yield ()
-            return
-        for row in row_fills(alpha[i], budgets):
-            remaining = tuple(b - r for b, r in zip(budgets, row))
-            for tail in fill(i + 1, remaining):
-                yield (row,) + tail
-
-    yield from fill(0, beta)
+    yield from tables(0, beta) if alpha else [((), ())]
 
 
-def flatten_lex(table):
-    """Row-major reading of a table as a weak composition."""
-    return tuple(entry for row in table for entry in row)
+def _row_fills(total, budgets, base):
+    """The rows ``0 <= r <= budgets`` with sum ``total``, in lex order, as
+    ``(cells, values, budgets - r)``, the cells numbered from ``base``."""
+    fills = [((), (), (), total)]
+    after = sum(budgets)
+    for cell, b in enumerate(budgets, base):
+        after -= b  # the budgets of the columns to the right
+        grown = []
+        for cells, values, rest, left in fills:
+            lo = left - after
+            if lo <= 0:
+                grown.append((cells, values, rest + (b,), left))
+                lo = 1
+            for v in range(lo, min(left, b) + 1):
+                grown.append((cells + (cell,), values + (v,), rest + (b - v,), left - v))
+        fills = grown
+    return [fill[:3] for fill in fills]
 
 
 # ---------------------------------------------------------------------------

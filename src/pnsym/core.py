@@ -16,7 +16,6 @@ cross-checking the projection ``to_nsym`` and its right inverse
 """
 
 import itertools
-import math
 from fractions import Fraction
 
 from . import combinatorics as comb
@@ -164,20 +163,18 @@ def _by_degree(g, degree):
 
 def _table_groups(a, b, shapes):
     """The tables with row sums ``a`` and column sums ``b``, grouped by the
-    cells they leave nonzero.
+    nonzero cells of :func:`pnsym.combinatorics.contingency_tables`.
 
-    Returns ``[(kept, alphas)]``: ``kept`` lists the nonzero cells'
-    positions in the row-major flattening, and ``alphas`` the flattenings
-    of the group's tables with their zero cells dropped (distinct, since
-    the tables are).  ``shapes`` is the caller's cache, keyed by ``(a, b)``.
+    Returns ``[(kept, alphas)]``, groups in order of first appearance:
+    ``kept`` lists the nonzero cells' positions in the row-major flattening,
+    and ``alphas`` the group's tables' entries there (distinct, since the
+    tables are).  ``shapes`` is the caller's cache, keyed by ``(a, b)``.
     """
     groups = shapes.get((a, b))
     if groups is None:
         by_kept = {}
-        for table in comb.contingency_tables(a, b):
-            flat = comb.flatten_lex(table)
-            kept = tuple(i for i, x in enumerate(flat) if x)
-            by_kept.setdefault(kept, []).append(tuple(flat[i] for i in kept))
+        for kept, alpha in comb.contingency_tables(a, b):
+            by_kept.setdefault(kept, []).append(alpha)
         groups = shapes[(a, b)] = list(by_kept.items())
     return groups
 
@@ -242,18 +239,22 @@ def antipode(f):
 
 
 def _antipode_key(key, memo):
+    """S(key), memoized in ``memo``: for each proper coproduct term
+    c F(x') (x) F(b;t), each term d F(a;s) of S(x') adds -c d at
+    (a + b, s (+) t) to one dict."""
     if key == EMPTY_KEY:
         return UNIT
     if key in memo:
         return memo[key]
-    acc = [(key, -1)]
+    terms = {key: -1}
     for (left, right), c in coproduct(PnsymElement({key: 1})).terms.items():
         if EMPTY_KEY in (left, right):
             continue  # proper part only
-        prod = external_mul(_antipode_key(left, memo), PnsymElement({right: c}))
-        acc.extend((k2, -d) for k2, d in prod.terms.items())
-    result = PnsymElement.sum(acc)
-    memo[key] = result
+        b, t = right
+        for (a, s), d in _antipode_key(left, memo).terms.items():
+            k2 = (a + b, comb.direct_sum(s, t))
+            terms[k2] = terms.get(k2, 0) - c * d
+    result = memo[key] = PnsymElement(terms)
     return result
 
 
@@ -263,11 +264,11 @@ def _antipode_key(key, memo):
 
 def rank(n):
     """Number of mopiscotions of size n: sum of C(n-1, n-k) * k! over k."""
-    if n == 0:
-        return 1
-    return sum(
-        math.comb(n - 1, n - k) * math.factorial(k) for k in range(n + 1)
-    )
+    total = term = 1
+    for k in range(1, n):  # term k+1 = term k * (n-k)(k+1)/k; k! divides term k
+        term = term * (n - k) * (k + 1) // k
+        total += term
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -45,3 +45,35 @@ def convolve_maps(phi, psi, f):
     for (k1, k2), c in core.coproduct(f).terms.items():
         out = out + c * core.external_mul(phi(_key(k1)), psi(_key(k2)))
     return out
+
+
+def antipode(f):
+    """The antipode by the connected-graded recursion, each proper term built
+    as an ``external_mul`` element and the terms summed by
+    ``PnsymElement.sum``.
+
+    S(x) = -x - sum S(x') x'' over the coproduct terms of x with both legs
+    of positive degree.  Terms come in the order the recursion meets them.
+    """
+    memo = {}
+    return core.PnsymElement.sum(
+        (k2, c * d)
+        for key, c in f.terms.items()
+        for k2, d in _antipode_key(key, memo).terms.items()
+    )
+
+
+def _antipode_key(key, memo):
+    if key == core.EMPTY_KEY:
+        return core.UNIT
+    if key in memo:
+        return memo[key]
+    acc = [(key, -1)]
+    for (left, right), c in core.coproduct(_key(key)).terms.items():
+        if core.EMPTY_KEY in (left, right):
+            continue  # proper part only
+        prod = core.external_mul(_antipode_key(left, memo), core.PnsymElement({right: c}))
+        acc.extend((k2, -d) for k2, d in prod.terms.items())
+    result = core.PnsymElement.sum(acc)
+    memo[key] = result
+    return result

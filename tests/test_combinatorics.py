@@ -261,21 +261,97 @@ def test_mopiscotion_counts():
 
 # contingency tables ----------------------------------------------------------
 
+def reference_tables(alpha, beta):
+    """The k x l tables with row sums ``alpha`` and column sums ``beta``,
+    dense, in lexicographic order of the row-major flattening: rows filled
+    one by one by plain recursion, under the column budgets left."""
+    alpha, beta = tuple(alpha), tuple(beta)
+    if sum(alpha) != sum(beta):
+        return
+
+    def row_fills(total, budgets):
+        # vectors 0 <= r <= budgets entrywise with sum(r) == total, lex order
+        if not budgets:
+            if total == 0:
+                yield ()
+            return
+        lo = max(0, total - sum(budgets[1:]))
+        hi = min(total, budgets[0])
+        for v in range(lo, hi + 1):
+            for rest in row_fills(total - v, budgets[1:]):
+                yield (v,) + rest
+
+    def fill(i, budgets):
+        if i == len(alpha):
+            yield ()
+            return
+        for row in row_fills(alpha[i], budgets):
+            remaining = tuple(b - r for b, r in zip(budgets, row))
+            for tail in fill(i + 1, remaining):
+                yield (row,) + tail
+
+    yield from fill(0, beta)
+
+
+def densify(table, k, l):
+    """The k x l rows of a sparse ``(cells, values)`` table."""
+    flat = [0] * (k * l)
+    for cell, value in zip(*table):
+        flat[cell] = value
+    return tuple(tuple(flat[i * l:(i + 1) * l]) for i in range(k))
+
+
+def dense_tables(alpha, beta):
+    return [densify(t, len(alpha), len(beta)) for t in comb.contingency_tables(alpha, beta)]
+
+
 def test_contingency_tables_frozen():
-    tables = list(comb.contingency_tables((1, 1), (1, 1)))
+    tables = dense_tables((1, 1), (1, 1))
     assert tables == [((0, 1), (1, 0)), ((1, 0), (0, 1))] or tables == [
         ((1, 0), (0, 1)),
         ((0, 1), (1, 0)),
     ]
-    assert list(comb.contingency_tables((2,), (1, 1))) == [((1, 1),)]
-    assert list(comb.contingency_tables((1, 1), (2,))) == [((1,), (1,))]
-    assert list(comb.contingency_tables((), ())) == [()]
+    assert dense_tables((2,), (1, 1)) == [((1, 1),)]
+    assert dense_tables((1, 1), (2,)) == [((1,), (1,))]
+    assert dense_tables((), ()) == [()]
+    assert dense_tables((1,), (2,)) == []
+
+
+def test_contingency_tables_sparse_edge_cases():
+    assert list(comb.contingency_tables((), ())) == [((), ())]
     assert list(comb.contingency_tables((1,), (2,))) == []
+    assert list(comb.contingency_tables((2, 1), (1, 1))) == []
+
+
+def test_contingency_tables_sparse_form_is_row_major():
+    # ((1, 0), (0, 2)) keeps cells 0 and 3 of its flattening (1, 0, 0, 2)
+    assert ((0, 3), (1, 2)) in list(comb.contingency_tables((1, 2), (1, 2)))
+    assert densify(((0, 3), (1, 2)), 2, 2) == ((1, 0), (0, 2))
+    assert densify(((), ()), 0, 0) == ()
+
+
+def test_contingency_tables_match_reference_in_order():
+    for n in range(7):
+        for alpha in comb.compositions(n):
+            for beta in comb.compositions(n):
+                got = list(comb.contingency_tables(alpha, beta))
+                assert [densify(t, len(alpha), len(beta)) for t in got] == list(
+                    reference_tables(alpha, beta)
+                )
+                assert all(len(cells) == len(values) and all(values) for cells, values in got)
+
+
+@given(
+    st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    st.lists(st.integers(0, 3), max_size=3).map(tuple),
+)
+def test_contingency_tables_match_reference_on_weak_sums(alpha, beta):
+    assert dense_tables(alpha, beta) == list(reference_tables(alpha, beta))
 
 
 def test_contingency_tables_marginals():
     alpha, beta = (2, 1), (1, 1, 1)
-    tables = list(comb.contingency_tables(alpha, beta))
+    tables = dense_tables(alpha, beta)
     assert len(tables) == 3
     for table in tables:
         assert tuple(sum(row) for row in table) == alpha
@@ -287,14 +363,9 @@ def test_contingency_tables_marginals():
     st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
 )
 def test_contingency_transpose_bijection(alpha, beta):
-    forward = set(comb.contingency_tables(alpha, beta))
-    back = {tuple(zip(*t)) for t in comb.contingency_tables(beta, alpha)}
+    forward = set(dense_tables(alpha, beta))
+    back = {tuple(zip(*t)) for t in dense_tables(beta, alpha)}
     assert forward == back
-
-
-def test_flatten_lex_row_major():
-    assert comb.flatten_lex(((1, 0), (0, 2))) == (1, 0, 0, 2)
-    assert comb.flatten_lex(()) == ()
 
 
 # text forms -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The Hopf algebra of basis keys: products, coproduct, antipode, bridge."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from pnsym import combinatorics as comb
 from pnsym import core
 
+import hopf_reference
 from hopf_reference import convolve_maps, tensor_mul, tensor_of
 from test_coefficients import canonical
+from test_combinatorics import reference_tables
 
 
 F = core.basis
@@ -93,6 +96,19 @@ def test_external_mul_concatenates():
     assert lhs == F((1, 2, 1), (1, 3, 2))
     assert core.external_mul(UNIT, F((2,), (1,))) == F((2,), (1,))
     assert core.external_mul(F((2,), (1,)), UNIT) == F((2,), (1,))
+
+
+def test_table_groups_match_reference_grouping_in_order():
+    # nonzero cells of the row-major flattening, groups in order of first use
+    for n in range(6):
+        for a in comb.compositions(n):
+            for b in comb.compositions(n):
+                want = {}
+                for table in reference_tables(a, b):
+                    flat = [x for row in table for x in row]
+                    kept = tuple(i for i, x in enumerate(flat) if x)
+                    want.setdefault(kept, []).append(tuple(flat[i] for i in kept))
+                assert core._table_groups(a, b, {}) == list(want.items())
 
 
 def test_internal_mul_frozen():
@@ -359,6 +375,22 @@ def test_antipode_is_linear(f):
     assert lhs == rhs
 
 
+def test_antipode_matches_reference_on_keys_in_order():
+    # one antipode call per key: each starts from an empty memo
+    for key in keys_up_to(5):
+        f = core.basis(*key)
+        got, want = core.antipode(f), hopf_reference.antipode(f)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert canonical(got.terms)
+
+
+@given(elements(max_size=4, max_terms=4))
+@settings(max_examples=40, deadline=None)
+def test_antipode_matches_reference_on_mixtures_in_order(f):
+    got, want = core.antipode(f), hopf_reference.antipode(f)
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
 # rank and enumeration -----------------------------------------------------------
 
 def test_rank_table():
@@ -368,6 +400,16 @@ def test_rank_table():
 def test_rank_matches_enumeration():
     for n in range(7):
         assert core.rank(n) == len(list(comb.mopiscotions(n)))
+
+
+def test_rank_matches_closed_form():
+    # k-part compositions of n times the k! twists of each
+    def closed(n):
+        if n == 0:
+            return 1
+        return sum(math.comb(n - 1, n - k) * math.factorial(k) for k in range(n + 1))
+
+    assert [core.rank(n) for n in range(300)] == [closed(n) for n in range(300)]
 
 
 def test_basis_keys_sorted_canonically():
