@@ -3,22 +3,26 @@
 
 Run from anywhere, standard library only::
 
-    python3 bench/run.py BENCH_9.json LABEL [--src DIR]
+    python3 bench/run.py BENCH_10.json LABEL [--src DIR]
 
 ``--src`` is the directory holding the ``pnsym`` package to time (default:
 this checkout's ``src``), so that two trees can be recorded side by side in
 one file.  Each timing is the median of 5 runs.  The entry records the CPU
 count and the Python version.
 
-End to end: ``pnsym ktable`` on (1,5), (2,4) and (1,6), each run a fresh
-process.  Layers, each timed alone on fixed inputs:
+End to end: ``pnsym ktable`` on (1,5), (2,4) and (1,6), and the default
+``pnsym verify``, each run a fresh process.  Layers, each timed alone on
+fixed inputs:
 
 * ``internal_mul`` -- the ``imul`` calls among the first 800 calls of
   perfbench's hopf stream at seed 1, and the products that build the
   composition powers of k(1,5);
 * ``contingency_tables`` -- every (row sums, column sums) call those
   ``internal_mul`` calls make, in their order, each stream read to its end;
-* ``antipode`` -- the ``antipode`` calls of the same hopf stream.
+* ``antipode`` -- the ``antipode`` calls of the same hopf stream;
+* ``apply_pas`` -- every ``oracle.apply_pas`` call of the default
+  ``composition-expansion`` verify family, in its order, on a fresh model
+  for each run, so that no run reads the images another run memoized.
 
 The inputs are recorded once, before any timing, and are the same for any
 tree that computes the same products.
@@ -51,12 +55,12 @@ def median_time(fn):
     return statistics.median(times)
 
 
-def ktable(src, i, j):
-    """One ``pnsym ktable i j`` in a fresh process."""
+def pnsym(src, *argv):
+    """One ``pnsym`` command in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys; from pnsym.cli import main; sys.exit(main(sys.argv[1:]))"
     subprocess.run(
-        [sys.executable, "-c", code, "ktable", str(i), str(j)],
+        [sys.executable, "-c", code, *argv],
         env=env, check=True, stdout=subprocess.DEVNULL,
     )
 
@@ -77,8 +81,37 @@ def recording(module, name, calls):
         setattr(module, name, fn)
 
 
-def layer_inputs(checker, comb, core):
-    """The fixed inputs of each layer timing, by name."""
+def replay(fn, inputs):
+    """A run that makes every recorded call of ``fn``."""
+    def run():
+        for call in inputs:
+            fn(*call)
+    return run
+
+
+def drain_tables(comb, inputs):
+    """A run that reads each recorded ``contingency_tables`` stream to its end."""
+    def run():
+        for a, b in inputs:
+            for _ in comb.contingency_tables(a, b):
+                pass
+    return run
+
+
+def replay_on_fresh_model(oracle, inputs):
+    """A run that makes every recorded ``apply_pas`` call on a new model of
+    the recorded size."""
+    size = inputs[0][0].n
+
+    def run():
+        model = oracle.TriangularModel(size)
+        for _, alpha, sigma, f in inputs:
+            oracle.apply_pas(model, alpha, sigma, f)
+    return run
+
+
+def layer_runs(checker, comb, core, oracle, verify):
+    """Each layer timing, by name: its run and how many calls it makes."""
     sys.dont_write_bytecode = True  # leave no cache files under perfbench/
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import Hopf
@@ -96,12 +129,16 @@ def layer_inputs(checker, comb, core):
         with recording(comb, "contingency_tables", tables[name]):
             for args in imuls:
                 core.internal_mul(*args)
+    pas = []
+    with recording(oracle, "apply_pas", pas):
+        verify.run_family("composition-expansion")
     return {
-        "contingency_tables hopf": (comb.contingency_tables, tables["hopf"]),
-        "contingency_tables k15": (comb.contingency_tables, tables["k15"]),
-        "internal_mul hopf": (core.internal_mul, hopf_imul),
-        "internal_mul k15": (core.internal_mul, k15_imul),
-        "antipode hopf": (core.antipode, hopf_antipode),
+        "contingency_tables hopf": (drain_tables(comb, tables["hopf"]), len(tables["hopf"])),
+        "contingency_tables k15": (drain_tables(comb, tables["k15"]), len(tables["k15"])),
+        "internal_mul hopf": (replay(core.internal_mul, hopf_imul), len(hopf_imul)),
+        "internal_mul k15": (replay(core.internal_mul, k15_imul), len(k15_imul)),
+        "antipode hopf": (replay(core.antipode, hopf_antipode), len(hopf_antipode)),
+        "apply_pas composition-expansion": (replay_on_fresh_model(oracle, pas), len(pas)),
     }
 
 
@@ -114,7 +151,7 @@ def main(argv=None):
     src = args.src.resolve()
 
     sys.path.insert(0, str(src))
-    from pnsym import checker, combinatorics as comb, core
+    from pnsym import checker, combinatorics as comb, core, oracle, verify
 
     entry = {
         "label": args.label,
@@ -126,18 +163,12 @@ def main(argv=None):
         "layer_calls": {},
     }
     for i, j in KTABLE:
-        entry["end_to_end_s"][f"ktable {i} {j}"] = median_time(lambda: ktable(src, i, j))
-    for name, (fn, inputs) in layer_inputs(checker, comb, core).items():
-        if fn is comb.contingency_tables:
-            def run(inputs=inputs):
-                for a, b in inputs:
-                    for _ in comb.contingency_tables(a, b):
-                        pass
-        else:
-            def run(fn=fn, inputs=inputs):
-                for call in inputs:
-                    fn(*call)
-        entry["layer_calls"][name] = len(inputs)
+        entry["end_to_end_s"][f"ktable {i} {j}"] = median_time(
+            lambda: pnsym(src, "ktable", str(i), str(j))
+        )
+    entry["end_to_end_s"]["verify"] = median_time(lambda: pnsym(src, "verify"))
+    for name, (run, calls) in layer_runs(checker, comb, core, oracle, verify).items():
+        entry["layer_calls"][name] = calls
         entry["layers_s"][name] = median_time(run)
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {"entries": []}

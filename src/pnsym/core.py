@@ -216,10 +216,28 @@ def coproduct(f):
     coefficients accumulate.
     """
     return PnsymTensor.sum(
-        ((comb.reduce_pair(beta, sigma), comb.reduce_pair(gamma, sigma)), c)
+        (pair, c)
         for (alpha, sigma), c in f.terms.items()
-        for beta, gamma in comb.entrywise_splittings(alpha)
+        for pair in _key_coproduct(alpha, sigma)
     )
+
+
+def _key_coproduct(alpha, sigma):
+    """The reduced legs of each entrywise splitting of F(alpha; sigma), in
+    order.  Many splittings share a support, so sigma is standardized on
+    each support once."""
+    by_support = {}
+    positions = range(len(alpha))
+
+    def reduced(beta):
+        keep = tuple(itertools.compress(positions, beta))
+        s = by_support.get(keep)
+        if s is None:
+            s = by_support[keep] = comb.standardize(itertools.compress(sigma, beta))
+        return tuple(itertools.compress(beta, beta)), s
+
+    for beta, gamma in comb.entrywise_splittings(alpha):
+        yield reduced(beta), reduced(gamma)
 
 
 def antipode(f):

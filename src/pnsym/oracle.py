@@ -19,6 +19,7 @@ the checks that only hold under cocommutativity.
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 
 from . import combinatorics as comb
@@ -138,12 +139,34 @@ def tensor_of_elements(*elements_):
     return FreeTensor(len(elements_), terms)
 
 
-class TriangularModel:
+class _FreeModel:
+    """What both free models share: memos that live and die with the
+    instance, so no value computed on one model is read on another."""
+
+    def __init__(self):
+        self._images = {}  # (alpha, sigma, word) -> ((output word, multiplicity), ...)
+        self._splits = {}  # (letter, k) -> its k-leg splittings, see letter_splits
+
+    def letter_splits(self, letter, k):
+        """The k-leg splittings of one letter, each as ``(legs, touched)``:
+        ``touched`` holds ``(r, degree of leg r)`` for each nonempty leg r."""
+        key = (letter, k)
+        splits = self._splits.get(key)
+        if splits is None:
+            splits = self._splits[key] = tuple(
+                (legs, tuple((r, word_degree(leg)) for r, leg in enumerate(legs) if leg))
+                for legs in self.letter_coproduct_legs(letter, k)
+            )
+        return splits
+
+
+class TriangularModel(_FreeModel):
     """Free algebra on x(i,j), 1 <= i < j <= n; vacuous for n = 1."""
 
     def __init__(self, n):
         if n < 1:
             raise ValueError("model size must be >= 1")
+        super().__init__()
         self.n = n
 
     def generators(self):
@@ -174,7 +197,7 @@ class TriangularModel:
             )
 
 
-class PrimitiveTensorModel:
+class PrimitiveTensorModel(_FreeModel):
     """Free algebra on primitive degree-1 generators 1..g (cocommutative).
 
     ``cap`` bounds the tracked degree so Sweedler expansions stay finite no
@@ -184,6 +207,7 @@ class PrimitiveTensorModel:
     def __init__(self, g, cap=8):
         if g < 1:
             raise ValueError("need at least one generator")
+        super().__init__()
         self.g = g
         self.cap = cap
 
@@ -221,26 +245,34 @@ def element_mul(model, f, g):
 def _word_delta(model, k, word, target=None):
     """The k-fold coproduct of one word, as {legs: int multiplicity}.
 
-    With ``target``, a splitting is dropped as soon as leg r has degree
-    above ``target[r]``, letter by letter, so only the legs that can still
-    meet their bounds are ever built.
+    Each partial splitting carries the degree each leg may still take: with
+    ``target`` that is ``target[r]`` less what leg r holds, and a splitting
+    is dropped as soon as a leg overshoots, letter by letter, so only the
+    legs that can still meet their bounds are ever built.  Without it each
+    leg may take the whole word's degree, so nothing is dropped.  Only the
+    legs a letter lands in are tested against their room and ``admits``.
     """
-    terms = {((),) * k: 1}
+    if target is None:
+        target = (word_degree(word),) * k
+    terms = {((),) * k: (tuple(target), 1)}  # legs -> (room per leg, multiplicity)
     for letter in word:
         new = {}
-        for legs in model.letter_coproduct_legs(letter, k):
-            for key, c in terms.items():
-                merged = tuple(key[r] + legs[r] for r in range(k))
-                if target is not None and any(
-                    word_degree(merged[r]) > target[r] for r in range(k) if legs[r]
-                ):
-                    continue
-                if all(model.admits(w) for w in merged):
-                    new[merged] = new.get(merged, 0) + c
+        for legs, touched in model.letter_splits(letter, k):
+            for key, (room, c) in terms.items():
+                left = list(room)
+                for r, d in touched:
+                    left[r] -= d
+                    if left[r] < 0:
+                        break
+                else:
+                    merged = tuple(map(operator.add, key, legs))
+                    if all(model.admits(merged[r]) for r, _ in touched):
+                        old = new.get(merged)
+                        new[merged] = (tuple(left), c + old[1] if old else c)
         terms = new
         if not terms:
             break
-    return terms
+    return {legs: c for legs, (_, c) in terms.items()}
 
 
 def delta_power(model, k, f):
@@ -315,19 +347,39 @@ def apply_pas(model, alpha, sigma, f):
     and the output word is read off the legs in the order sigma(1), ...,
     sigma(k).  No full tensor is built; the literal composition of
     :func:`delta_power`, :func:`permute_tensor`, :func:`project_multi` and
-    :func:`m_power` is the reference it is tested against.
+    :func:`m_power` is the reference it is tested against.  The operator is
+    linear, so each word's image is computed once per model and kept there.
+    A word of another degree than ``sum(alpha)`` has image 0 and is not kept.
     """
-    target = _slot_targets(alpha, sigma)
-    if any(a < 0 for a in alpha):
-        return FreeElement({})  # no leg has negative degree
+    if len(sigma) != len(alpha):
+        raise ValueError("composition and permutation lengths differ")
+    alpha, sigma = tuple(alpha), tuple(sigma)
     n = sum(alpha)
-    return FreeElement(_summed(
-        (tuple(x for s in sigma for x in legs[s - 1]), c * mult)
-        for word, c in f.terms.items()
-        # legs sum to the word's degree, so bounded legs meet alpha exactly
-        if word_degree(word) == n
+    images = model._images
+    terms = {}
+    for word, c in f.terms.items():
+        key = (alpha, sigma, word)
+        image = images.get(key)
+        if image is None:
+            # legs sum to the word's degree, so bounded legs meet alpha exactly
+            if word_degree(word) != n:
+                continue
+            image = images[key] = _word_image(model, alpha, sigma, word)
+        for w, mult in image:
+            terms[w] = terms.get(w, 0) + c * mult
+    return FreeElement(terms)
+
+
+def _word_image(model, alpha, sigma, word):
+    """The image under p_(alpha, sigma) of one word of degree sum(alpha), as
+    ``(word, multiplicity)`` pairs."""
+    if any(a < 0 for a in alpha):
+        return ()  # no leg has negative degree
+    target = _slot_targets(alpha, sigma)
+    return tuple(_summed(
+        (tuple(x for s in sigma for x in legs[s - 1]), mult)
         for legs, mult in _word_delta(model, len(alpha), word, target).items()
-    ))
+    ).items())
 
 
 def convolve(model, phi, psi, f):

@@ -4,7 +4,9 @@ Every structural identity the library relies on is re-checked here against
 the free models in :mod:`pnsym.oracle`, from first principles and in exact
 arithmetic.  Each *family* enumerates a deterministic set of cases (no
 randomness, so reports are byte-identical between runs) and reports how many
-cases were run and how many failed.
+cases were run and how many failed.  A family yields one ``(ok, label)`` pair
+per case; ``label`` is a zero-argument callable, so only the failures kept as
+examples are ever formatted.
 
 The driver is what ``pnsym verify`` runs.  Families can also be run one at a
 time through :func:`run_family`, which the test suite uses to push individual
@@ -168,7 +170,9 @@ def _fam_composition_expansion(cfg):
             for gname, x in gens:
                 lhs = oracle.apply_pas(model, a, s, oracle.apply_pas(model, b, t, x))
                 rhs = oracle.evaluate_pnsym(model, expansion, x)
-                yield _case_label(comb.format_pair(a, s), comb.format_pair(b, t), gname), lhs == rhs
+                yield lhs == rhs, lambda: _case_label(
+                    comb.format_pair(a, s), comb.format_pair(b, t), gname
+                )
 
 
 def _fam_convolution_concatenation(cfg):
@@ -187,7 +191,9 @@ def _fam_convolution_concatenation(cfg):
                 x,
             )
             rhs = oracle.apply_pas(model, glued_alpha, glued_sigma, x)
-            yield _case_label(comb.format_pair(a, s), comb.format_pair(b, t), pname), lhs == rhs
+            yield lhs == rhs, lambda: _case_label(
+                comb.format_pair(a, s), comb.format_pair(b, t), pname
+            )
 
 
 def _fam_projection_convolution(cfg):
@@ -201,7 +207,7 @@ def _fam_projection_convolution(cfg):
                 for pname, x in probes:
                     lhs = oracle.apply_pas(model, alpha, sigma, x)
                     rhs = oracle.apply_convolution_of_projections(model, alpha, x)
-                    yield _case_label(comb.format_composition(alpha), pname), lhs == rhs
+                    yield lhs == rhs, lambda: _case_label(comb.format_composition(alpha), pname)
 
 
 def _fam_reduction_invariance(cfg):
@@ -213,7 +219,7 @@ def _fam_reduction_invariance(cfg):
         for gname, x in gens:
             lhs = oracle.apply_pas(model, alpha, sigma, x)
             rhs = oracle.apply_pas(model, red_alpha, red_sigma, x)
-            yield _case_label(comb.format_pair(alpha, sigma), gname), lhs == rhs
+            yield lhs == rhs, lambda: _case_label(comb.format_pair(alpha, sigma), gname)
 
 
 def _fam_degree_projection(cfg):
@@ -233,7 +239,7 @@ def _fam_degree_projection(cfg):
                 ok = not image
             else:
                 ok = all(oracle.word_degree(w) == n for w in image.terms)
-            yield _case_label(comb.format_pair(alpha, sigma), hname), ok
+            yield ok, lambda: _case_label(comb.format_pair(alpha, sigma), hname)
 
 
 def _fam_cocommutative_collapse(cfg):
@@ -249,7 +255,9 @@ def _fam_cocommutative_collapse(cfg):
         for w in words:
             lhs = oracle.apply_pas(model, alpha, sigma, element(w))
             rhs = oracle.apply_pas(model, alpha, ident, element(w))
-            yield _case_label(comb.format_pair(alpha, sigma), oracle.format_word(w)), lhs == rhs
+            yield lhs == rhs, lambda: _case_label(
+                comb.format_pair(alpha, sigma), oracle.format_word(w)
+            )
 
 
 def _fam_tensor_square_expansion(cfg):
@@ -271,7 +279,7 @@ def _fam_tensor_square_expansion(cfg):
                 for beta, gamma in comb.entrywise_splittings(alpha)
                 for (w, v), c in t.terms.items()
             ))
-            yield _case_label(comb.format_pair(alpha, sigma), pname), lhs == rhs
+            yield lhs == rhs, lambda: _case_label(comb.format_pair(alpha, sigma), pname)
 
 
 def _fam_distinct_images(cfg):
@@ -286,7 +294,7 @@ def _fam_distinct_images(cfg):
             ok = len(items) == 1 and items[0][1] == 1 and items[0][0] not in seen
             if items:
                 seen.add(items[0][0])
-            yield _case_label(comb.format_pair(alpha, sigma), f"x(1,{1 + s})"), ok
+            yield ok, lambda: _case_label(comb.format_pair(alpha, sigma), f"x(1,{1 + s})")
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +314,7 @@ def _fam_shuffle_factorization(cfg):
                         comb.interleave_power(tau, k), comb.compose(zeta_inv, blocks)
                     )
                     rhs = comb.wreath_substitute(tau, sigma)
-                    yield _case_label(k, length, sigma, tau), lhs == rhs
+                    yield lhs == rhs, lambda: _case_label(k, length, sigma, tau)
 
 
 def _fam_wreath_associativity(cfg):
@@ -321,7 +329,7 @@ def _fam_wreath_associativity(cfg):
                         for ups in itertools.permutations(range(1, m + 1)):
                             lhs = comb.wreath_substitute(ups, inner)
                             rhs = comb.wreath_substitute(comb.wreath_substitute(ups, tau), sigma)
-                            yield _case_label(k, length, m, sigma, tau, ups), lhs == rhs
+                            yield lhs == rhs, lambda: _case_label(k, length, m, sigma, tau, ups)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +350,7 @@ def _fam_iterated_product_merge(cfg):
         for i, t in enumerate(_probe_tensors(model, k * length)):
             lhs = oracle.m_power(_block_merge(t, k, length))
             rhs = oracle.m_power(t)
-            yield _case_label(k, length, f"t{i}"), lhs == rhs
+            yield lhs == rhs, lambda: _case_label(k, length, f"t{i}")
 
 
 def _fam_iterated_coproduct_merge(cfg):
@@ -352,7 +360,7 @@ def _fam_iterated_coproduct_merge(cfg):
         for pname, x in _generator_elements(model):
             lhs = _legwise_delta(model, oracle.delta_power(model, length, x), k)
             rhs = oracle.delta_power(model, k * length, x)
-            yield _case_label(k, length, pname), lhs == rhs
+            yield lhs == rhs, lambda: _case_label(k, length, pname)
 
 
 def _fam_product_coproduct_exchange(cfg):
@@ -364,7 +372,7 @@ def _fam_product_coproduct_exchange(cfg):
             lhs = oracle.delta_power(model, k, oracle.m_power(t))
             spread = _legwise_delta(model, t, k)
             rhs = _block_merge(oracle.permute_tensor(spread, zeta), k, length)
-            yield _case_label(k, length, f"t{i}"), lhs == rhs
+            yield lhs == rhs, lambda: _case_label(k, length, f"t{i}")
 
 
 def _projection_splits(cfg):
@@ -388,7 +396,9 @@ def _fam_projection_product_split(cfg):
             rhs = _tensor_sum(k, (
                 _block_merge(oracle.project_multi(t, flat), k, length) for flat in flats
             ))
-            yield _case_label(k, length, comb.format_composition(gamma), f"t{i}"), lhs == rhs
+            yield lhs == rhs, lambda: _case_label(
+                k, length, comb.format_composition(gamma), f"t{i}"
+            )
 
 
 def _fam_projection_coproduct_split(cfg):
@@ -399,7 +409,9 @@ def _fam_projection_coproduct_split(cfg):
             lhs = _legwise_delta(model, oracle.project_multi(t, gamma), length)
             spread = _legwise_delta(model, t, length)
             rhs = _tensor_sum(k * length, (oracle.project_multi(spread, flat) for flat in flats))
-            yield _case_label(k, length, comb.format_composition(gamma), f"t{i}"), lhs == rhs
+            yield lhs == rhs, lambda: _case_label(
+                k, length, comb.format_composition(gamma), f"t{i}"
+            )
 
 
 def _fam_projection_permutation_twist(cfg):
@@ -414,7 +426,9 @@ def _fam_projection_permutation_twist(cfg):
                         rhs = oracle.permute_tensor(
                             oracle.project_multi(t, comb.act_right(gamma, pi)), pi
                         )
-                        yield _case_label(k, pi, comb.format_composition(gamma), f"t{i}"), lhs == rhs
+                        yield lhs == rhs, lambda: _case_label(
+                            k, pi, comb.format_composition(gamma), f"t{i}"
+                        )
 
 
 def _fam_projection_orthogonality(cfg):
@@ -430,9 +444,9 @@ def _fam_projection_orthogonality(cfg):
             for i, t in enumerate(_probe_tensors(model, k)):
                 lhs = oracle.project_multi(oracle.project_multi(t, beta), alpha)
                 rhs = oracle.project_multi(t, alpha) if alpha == beta else FreeTensor(k)
-                yield _case_label(
+                yield lhs == rhs, lambda: _case_label(
                     comb.format_composition(alpha), comb.format_composition(beta), f"t{i}"
-                ), lhs == rhs
+                )
 
 
 FAMILIES = {
@@ -461,12 +475,13 @@ def run_family(name, model_size=4, max_size=3):
     cases = 0
     failures = 0
     examples = []
-    for label, ok in FAMILIES[name](cfg):
+    for ok, label in FAMILIES[name](cfg):
         cases += 1
         if not ok:
             failures += 1
             if len(examples) < 3:
-                examples.append(label)
+                # before the family moves on, so the label reads this case
+                examples.append(label())
     return FamilyResult(name, cases, failures, tuple(examples))
 
 

@@ -341,6 +341,73 @@ def test_twisted_operator_matches_the_literal_composition(case):
     assert canonical(image.terms)
 
 
+# the splitting kernel and the per-model memos -------------------------------------
+
+def brute_word_delta(model, k, word, target=None):
+    """Reference for ``_word_delta``: every choice of one k-leg splitting per
+    letter, unpruned, then filtered by the target and ``admits``."""
+    terms = {}
+    for choice in itertools.product(*(model.letter_coproduct_legs(x, k) for x in word)):
+        legs = tuple(tuple(x for split in choice for x in split[r]) for r in range(k))
+        if target is not None and any(
+            oracle.word_degree(leg) > t for leg, t in zip(legs, target)
+        ):
+            continue
+        if all(model.admits(leg) for leg in legs):
+            terms[legs] = terms.get(legs, 0) + 1
+    return terms
+
+
+@st.composite
+def split_cases(draw):
+    model = draw(st.sampled_from(REFERENCE_MODELS))
+    word = tuple(draw(st.lists(st.sampled_from(model.generators()), max_size=4)))
+    k = draw(st.integers(0, 4))
+    target = draw(st.none() | st.tuples(*[st.integers(0, 4)] * k))
+    return model, k, _cut(word), target
+
+
+# the primitive model's cap is 3, so its 4-letter words are truncated
+@example((REFERENCE_MODELS[1], 2, (1, 2, 1, 2), None))
+@example((REFERENCE_MODELS[1], 3, (1, 2, 1), (1, 1, 2)))
+@example((REFERENCE_MODELS[1], 1, (2, 2, 2), (3,)))
+@example((REFERENCE_MODELS[0], 3, ((1, 4), (1, 2)), (1, 2, 1)))
+@example((REFERENCE_MODELS[0], 0, (), ()))
+@example((REFERENCE_MODELS[0], 0, ((1, 2),), None))
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_word_delta_matches_the_brute_force_splitting(case):
+    model, k, word, target = case
+    assert oracle._word_delta(model, k, word, target) == brute_word_delta(
+        model, k, word, target
+    )
+
+
+def test_images_stay_with_their_model():
+    # y(1)^3 passes the degree-3 cap and dies under the degree-2 cap
+    yyy = oracle.element((1, 1, 1))
+    expected = {2: oracle.FreeElement({}), 3: yyy}
+    for caps in [(2, 3), (3, 2)]:
+        models = {cap: oracle.PrimitiveTensorModel(1, cap=cap) for cap in caps}
+        for cap in caps:
+            assert oracle.apply_pas(models[cap], (3,), (1,), yyy) == expected[cap]
+
+
+def test_images_on_a_shared_model_match_the_literal_composition():
+    # one model serves every key, so each image is read back from its memo
+    model = oracle.TriangularModel(4)
+    x14 = model.gen(1, 4)
+    words = [x14, oracle.element(((1, 2), (2, 4))), oracle.element(((1, 3), (3, 4)))]
+    probes = words + [Fraction(1, 2) * words[0] - 2 * words[1] + words[2]]
+    keys = weak_pair_pool(3, 3)
+    for _ in range(2):
+        for alpha, sigma in keys:
+            for f in probes:
+                assert oracle.apply_pas(model, alpha, sigma, f) == literal_pas(
+                    model, alpha, sigma, f
+                )
+
+
 # acting by an element of the algebra --------------------------------------------
 
 def test_evaluate_acts_termwise():

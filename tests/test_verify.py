@@ -2,7 +2,8 @@
 
 import pytest
 
-from pnsym import verify
+from pnsym import combinatorics as comb
+from pnsym import oracle, verify
 
 
 def test_every_family_runs_cases_and_none_fail_at_small_bounds():
@@ -57,3 +58,47 @@ def test_format_report():
         "distinct-images: 4 cases, 1 failures\n"
         "total: 24 cases, 1 failures"
     )
+
+
+def _zero(*args):
+    return oracle.FreeElement({})
+
+
+def _untwisted_only(apply_pas):
+    """``apply_pas`` that loses every image whose twist moves leg 1."""
+    def broken(model, alpha, sigma, f):
+        return _zero() if sigma[:1] not in ((), (1,)) else apply_pas(model, alpha, sigma, f)
+    return broken
+
+
+def _reversed_result(fn):
+    return lambda *args: tuple(reversed(fn(*args)))
+
+
+def test_failing_cases_are_reported_by_label(monkeypatch):
+    # the first three failures of each family keep their labels, word for word
+    monkeypatch.setattr(oracle, "evaluate_pnsym", _zero)
+    monkeypatch.setattr(oracle, "apply_pas", _untwisted_only(oracle.apply_pas))
+    monkeypatch.setattr(comb, "interleave_power", _reversed_result(comb.interleave_power))
+    results = verify.run_all(
+        model_size=3,
+        max_size=2,
+        names=["composition-expansion", "cocommutative-collapse", "shuffle-factorization"],
+    )
+    assert [(r.name, r.cases, r.failures, r.examples) for r in results] == [
+        ("composition-expansion", 156, 24, (
+            "((1);[1]) ((1);[1]) (1,2)",
+            "((1);[1]) ((1);[1]) (2,3)",
+            "((2);[1]) ((2);[1]) (1,3)",
+        )),
+        ("cocommutative-collapse", 6, 4, (
+            "((1,1);[2,1]) y(1)y(1)",
+            "((1,1);[2,1]) y(1)y(2)",
+            "((1,1);[2,1]) y(2)y(1)",
+        )),
+        ("shuffle-factorization", 81, 80, (
+            "1 2 (1,) (1, 2)",
+            "1 2 (1,) (2, 1)",
+            "1 3 (1,) (1, 2, 3)",
+        )),
+    ]
