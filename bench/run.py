@@ -3,7 +3,7 @@
 
 Run from anywhere, standard library only::
 
-    python3 bench/run.py BENCH_10.json LABEL [--src DIR]
+    python3 bench/run.py BENCH_11.json LABEL [--src DIR]
 
 ``--src`` is the directory holding the ``pnsym`` package to time (default:
 this checkout's ``src``), so that two trees can be recorded side by side in
@@ -19,7 +19,8 @@ fixed inputs:
   composition powers of k(1,5);
 * ``contingency_tables`` -- every (row sums, column sums) call those
   ``internal_mul`` calls make, in their order, each stream read to its end;
-* ``antipode`` -- the ``antipode`` calls of the same hopf stream;
+* ``external_mul``, ``coproduct`` and ``antipode`` -- the ``mul``,
+  ``coproduct`` and ``antipode`` calls of the same hopf stream;
 * ``apply_pas`` -- every ``oracle.apply_pas`` call of the default
   ``composition-expansion`` verify family, in its order, on a fresh model
   for each run, so that no run reads the images another run memoized.
@@ -118,13 +119,13 @@ def layer_runs(checker, comb, core, oracle, verify):
 
     stream = Hopf(HOPF_SEED)
     calls = [stream.next_call() for _ in range(HOPF_CALLS)]
-    hopf_imul = [args for op, _, args, _ in calls if op == "imul"]
-    hopf_antipode = [args for op, _, args, _ in calls if op == "antipode"]
+    hopf = {name: [args for op, _, args, _ in calls if op == name]
+            for name in ("mul", "imul", "coproduct", "antipode")}
     k15_imul = []
     with recording(core, "internal_mul", k15_imul):
         checker.k_value(1, 5, 12)
     tables = {}
-    for name, imuls in (("hopf", hopf_imul), ("k15", k15_imul)):
+    for name, imuls in (("hopf", hopf["imul"]), ("k15", k15_imul)):
         tables[name] = []
         with recording(comb, "contingency_tables", tables[name]):
             for args in imuls:
@@ -135,9 +136,11 @@ def layer_runs(checker, comb, core, oracle, verify):
     return {
         "contingency_tables hopf": (drain_tables(comb, tables["hopf"]), len(tables["hopf"])),
         "contingency_tables k15": (drain_tables(comb, tables["k15"]), len(tables["k15"])),
-        "internal_mul hopf": (replay(core.internal_mul, hopf_imul), len(hopf_imul)),
+        "internal_mul hopf": (replay(core.internal_mul, hopf["imul"]), len(hopf["imul"])),
         "internal_mul k15": (replay(core.internal_mul, k15_imul), len(k15_imul)),
-        "antipode hopf": (replay(core.antipode, hopf_antipode), len(hopf_antipode)),
+        "external_mul hopf": (replay(core.external_mul, hopf["mul"]), len(hopf["mul"])),
+        "coproduct hopf": (replay(core.coproduct, hopf["coproduct"]), len(hopf["coproduct"])),
+        "antipode hopf": (replay(core.antipode, hopf["antipode"]), len(hopf["antipode"])),
         "apply_pas composition-expansion": (replay_on_fresh_model(oracle, pas), len(pas)),
     }
 

@@ -134,23 +134,50 @@ def internal_mul(f, g):
     degree contribute nothing.
 
     The tables and their zero-drops depend only on (a, b), so each shape is
-    enumerated once per call (:func:`_table_groups`); per key pair only the
-    twist is standardized, once per group of tables with the same nonzero
-    cells.
+    enumerated once per call (:func:`_table_groups`).  Per key pair the
+    twist is inverted once.  Each group of tables with the same nonzero
+    cells takes as its permutation the twist standardized on those cells,
+    from one walk of the inverse: the kept cells are ranked 1, 2, ... in
+    the order the inverse visits them, each found through the group's slot
+    array (:func:`_slot_array`), so nothing is sorted.  Slot arrays are kept
+    for the call, keyed by the flattening's length and the kept cells: one
+    set of kept cells recurs under several lengths.
     """
     shapes = {}
+    slots = {}
     g_by_degree = _by_degree(g, lambda key: sum(key[0]))
     terms = {}
     for (a, s), c in f.terms.items():
         for (b, t), d in g_by_degree.get(sum(a), ()):
             cd = c * d
-            twist = comb.wreath_substitute(t, s)
+            inv = comb.inverse(comb.wreath_substitute(t, s))
+            n = len(inv)
             for kept, alphas in _table_groups(a, b, shapes):
-                sigma = comb.standardize([twist[i] for i in kept])
+                slot = slots.get((n, kept))
+                if slot is None:
+                    slot = slots[(n, kept)] = _slot_array(n, kept)
+                ranks = [0] * len(kept)
+                r = 0
+                for p in inv:
+                    j = slot[p]
+                    if j is not None:
+                        r += 1
+                        ranks[j] = r
+                sigma = tuple(ranks)
                 for alpha in alphas:
                     key = (alpha, sigma)
                     terms[key] = terms.get(key, 0) + cd
     return PnsymElement(terms)
+
+
+def _slot_array(n, kept):
+    """The slot array of the cells ``kept`` of a flattening of length ``n``:
+    a list indexed by 1-based position, holding the index in ``kept`` of the
+    cell there, or ``None``."""
+    slot = [None] * (n + 1)
+    for j, i in enumerate(kept):
+        slot[i + 1] = j
+    return slot
 
 
 def _by_degree(g, degree):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pnsym import combinatorics as comb
 from pnsym import core
@@ -240,6 +240,59 @@ def test_internal_products_match_the_reference():
         got_n = core.nsym_internal_mul(f_n, g_n)
         assert got_n == _reference_nsym_internal_mul(f_n, g_n)
         assert canonical(got_n.terms)
+
+
+def _ranked_by_sorting(key1, key2):
+    """F(key1) * F(key2), each table group's twist standardized by sorting."""
+    (a, s), (b, t) = key1, key2
+    twist = comb.wreath_substitute(t, s)
+    return core.PnsymElement.sum(
+        ((alpha, comb.standardize([twist[i] for i in kept])), 1)
+        for kept, alphas in core._table_groups(a, b, {})
+        for alpha in alphas
+    )
+
+
+def _rank_cases():
+    """Every key pair of degree up to 4; at degree 5, every pair of
+    compositions, each with two seeded pairs of permutations."""
+    for keys in KEYS_BY_DEGREE[:5]:
+        yield from itertools.product(keys, repeat=2)
+    rng = random.Random(20241018)
+    for a, b in itertools.product(comb.compositions(5), repeat=2):
+        for _ in range(2):
+            s = tuple(rng.sample(range(1, len(a) + 1), len(a)))
+            t = tuple(rng.sample(range(1, len(b) + 1), len(b)))
+            yield (a, s), (b, t)
+
+
+def test_each_group_ranks_its_twist_as_sorting_does():
+    for key1, key2 in _rank_cases():
+        got = core.internal_mul(core.PnsymElement({key1: 1}), core.PnsymElement({key2: 1}))
+        assert got == _ranked_by_sorting(key1, key2), (key1, key2)
+
+
+@st.composite
+def mixtures(draw):
+    """Two elements of one degree up to 4, their keys of any lengths, so
+    that one product meets a set of kept cells under several k * l."""
+    keys = KEYS_BY_DEGREE[draw(st.integers(min_value=0, max_value=4))]
+    return tuple(
+        core.PnsymElement.sum(
+            (key, draw(st.integers(min_value=1, max_value=3)))
+            for key in draw(st.lists(st.sampled_from(keys), max_size=4))
+        )
+        for _ in range(2)
+    )
+
+
+@given(mixtures())
+# cells 0..3 are kept in a 2 x 2 table (n = 4), then in a 2 x 3 one (n = 6)
+@example((F((2, 2), (1, 2)) + F((3, 1), (2, 1)), F((2, 2), (2, 1)) + F((2, 1, 1), (1, 3, 2))))
+@settings(max_examples=60, deadline=None)
+def test_products_of_mixed_lengths_match_the_reference(pair):
+    f, g = pair
+    assert core.internal_mul(f, g) == _reference_internal_mul(f, g)
 
 
 def test_the_reference_bracket_power_cancels():

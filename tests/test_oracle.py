@@ -393,6 +393,18 @@ def test_images_stay_with_their_model():
             assert oracle.apply_pas(models[cap], (3,), (1,), yyy) == expected[cap]
 
 
+def test_coproducts_stay_with_their_model():
+    # y(1)^3 keeps its whole-word legs under the degree-3 cap, not under 2
+    yyy = oracle.element((1, 1, 1))
+    split = 3 * tensor((1,), (1, 1)) + 3 * tensor((1, 1), (1,))
+    expected = {2: split, 3: split + tensor((1, 1, 1), ()) + tensor((), (1, 1, 1))}
+    for caps in [(2, 3), (3, 2)]:
+        models = {cap: oracle.PrimitiveTensorModel(1, cap=cap) for cap in caps}
+        for cap in caps:
+            for _ in range(2):
+                assert oracle.delta_power(models[cap], 2, yyy) == expected[cap]
+
+
 def test_images_on_a_shared_model_match_the_literal_composition():
     # one model serves every key, so each image is read back from its memo
     model = oracle.TriangularModel(4)
