@@ -3,16 +3,18 @@
 
 Run from anywhere, standard library only::
 
-    python3 bench/run.py BENCH_11.json LABEL [--src DIR]
+    python3 bench/run.py BENCH_12.json LABEL [--src DIR]
 
 ``--src`` is the directory holding the ``pnsym`` package to time (default:
 this checkout's ``src``), so that two trees can be recorded side by side in
-one file.  Each timing is the median of 5 runs.  The entry records the CPU
+one file; the acceptance suite timed is the one in the ``tests`` directory
+beside it.  Each timing is the median of 5 runs.  The entry records the CPU
 count and the Python version.
 
-End to end: ``pnsym ktable`` on (1,5), (2,4) and (1,6), and the default
-``pnsym verify``, each run a fresh process.  Layers, each timed alone on
-fixed inputs:
+End to end, each run a fresh process: ``pnsym ktable`` on (1,5), (2,4) and
+(1,6), the default ``pnsym verify``, and the acceptance suite as
+``python -m pytest -q -p no:cacheprovider tests/test_acceptance.py``.
+Layers, each timed alone on fixed inputs:
 
 * ``internal_mul`` -- the ``imul`` calls among the first 800 calls of
   perfbench's hopf stream at seed 1, and the products that build the
@@ -63,6 +65,16 @@ def pnsym(src, *argv):
     subprocess.run(
         [sys.executable, "-c", code, *argv],
         env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+
+
+def acceptance(src):
+    """The acceptance suite of the tree holding ``src``, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py"],
+        cwd=src.parent, env=env, check=True, stdout=subprocess.DEVNULL,
     )
 
 
@@ -170,6 +182,7 @@ def main(argv=None):
             lambda: pnsym(src, "ktable", str(i), str(j))
         )
     entry["end_to_end_s"]["verify"] = median_time(lambda: pnsym(src, "verify"))
+    entry["end_to_end_s"]["acceptance"] = median_time(lambda: acceptance(src))
     for name, (run, calls) in layer_runs(checker, comb, core, oracle, verify).items():
         entry["layer_calls"][name] = calls
         entry["layers_s"][name] = median_time(run)

@@ -6,7 +6,7 @@ The working pieces:
 - :mod:`pnsym.combinatorics` — compositions, permutations, key reduction,
   contingency tables, and the permutation calculus behind composed operators.
 - :mod:`pnsym.core` — the Hopf algebra itself: both products, coproduct,
-  antipode, rank, and the bridge to the subalgebra with forgotten twists.
+  antipode and rank.
 - :mod:`pnsym.oracle` — free models on which every operator is evaluated
   from first principles.
 - :mod:`pnsym.checker` — an expression language for operator identities with

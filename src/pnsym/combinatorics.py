@@ -29,10 +29,6 @@ def is_weak_composition(alpha):
     return all(type(a) is int and a >= 0 for a in alpha)
 
 
-def is_composition(alpha):
-    return all(type(a) is int and a >= 1 for a in alpha)
-
-
 def compositions(n, length=None):
     """All compositions of ``n`` (entries >= 1), optionally of fixed length.
 
@@ -366,27 +362,13 @@ class Scanner:
         return alpha, sigma
 
 
-def _parse_whole(text, read):
-    sc = Scanner(text)
-    value = read(sc)
-    if not sc.at_end():
-        raise ParseError("trailing input", sc.pos)
-    return value
-
-
-def parse_composition(text):
-    """Parse "(3,0,1,2,0)" into a weak composition (negatives rejected)."""
-    return _parse_whole(text, Scanner.composition)
-
-
-def parse_permutation(text):
-    """Parse "[4,5,1,3,2]" into a permutation tuple."""
-    return _parse_whole(text, Scanner.permutation)
-
-
 def parse_pair(text):
     """Parse "((3,1,2);[3,1,2])" into an (alpha, sigma) pair.
 
     Weak entries are accepted; the caller decides whether to reduce.
     """
-    return _parse_whole(text, Scanner.pair)
+    sc = Scanner(text)
+    pair = sc.pair()
+    if not sc.at_end():
+        raise ParseError("trailing input", sc.pos)
+    return pair

@@ -9,10 +9,6 @@ coefficient equality.  Three products/coproducts live here:
   (mirrors convolution of the twisted operators);
 * :func:`internal_mul` -- sum over contingency tables (mirrors composition);
 * :func:`coproduct` -- entrywise decompositions of the composition.
-
-A reduced copy of classical NSym (basis ``H_alpha``) is included for
-cross-checking the projection ``to_nsym`` and its right inverse
-``from_nsym``.
 """
 
 import itertools
@@ -145,7 +141,7 @@ def internal_mul(f, g):
     """
     shapes = {}
     slots = {}
-    g_by_degree = _by_degree(g, lambda key: sum(key[0]))
+    g_by_degree = _by_degree(g)
     terms = {}
     for (a, s), c in f.terms.items():
         for (b, t), d in g_by_degree.get(sum(a), ()):
@@ -180,11 +176,11 @@ def _slot_array(n, kept):
     return slot
 
 
-def _by_degree(g, degree):
+def _by_degree(g):
     """The terms of ``g`` by degree."""
     out = {}
     for key, d in g.terms.items():
-        out.setdefault(degree(key), []).append((key, d))
+        out.setdefault(sum(key[0]), []).append((key, d))
     return out
 
 
@@ -314,86 +310,6 @@ def rank(n):
         term = term * (n - k) * (k + 1) // k
         total += term
     return total
-
-
-# ---------------------------------------------------------------------------
-# classical NSym (reduced feature set, for cross-checks)
-
-
-class NsymElement(_Combination):
-    """Rational combination of composition keys ``H_alpha``."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), len(kv[0]), kv[0])):
-            parts.append(f"{c}*H{key}")
-        return " + ".join(parts)
-
-
-def nsym_basis(alpha):
-    alpha = tuple(alpha)
-    if not comb.is_composition(alpha):
-        raise ValueError(f"not a composition: {alpha}")
-    return NsymElement({alpha: 1})
-
-
-def to_nsym(f):
-    """The projection F(a;s) -> H_a, extended linearly."""
-    return NsymElement.sum((alpha, c) for (alpha, _), c in f.terms.items())
-
-
-def from_nsym(h):
-    """The injection H_a -> F(a; identity), extended linearly."""
-    return PnsymElement.sum(
-        ((alpha, comb.identity(len(alpha))), c) for alpha, c in h.terms.items()
-    )
-
-
-def nsym_external_mul(f, g):
-    """H_a . H_b = H_(ab): concatenation, extended bilinearly."""
-    return NsymElement.sum(
-        (comb.concat(a, b), c * d)
-        for a, c in f.terms.items()
-        for b, d in g.terms.items()
-    )
-
-
-def nsym_internal_mul(f, g):
-    """Contingency-table product with zero entries of the flattening dropped.
-
-    Its keys are the reduced flattenings of :func:`_table_groups`, the same
-    tables :func:`internal_mul` sums over.
-    """
-    shapes = {}
-    g_by_degree = _by_degree(g, sum)
-    terms = {}
-    for a, c in f.terms.items():
-        for b, d in g_by_degree.get(sum(a), ()):
-            cd = c * d
-            for _, alphas in _table_groups(a, b, shapes):
-                for alpha in alphas:
-                    terms[alpha] = terms.get(alpha, 0) + cd
-    return NsymElement(terms)
-
-
-def nsym_coproduct(f):
-    """Entrywise splittings with zeros dropped; plain dict of key pairs."""
-    return _Combination.sum(
-        ((tuple(x for x in beta if x), tuple(x for x in gamma if x)), c)
-        for alpha, c in f.terms.items()
-        for beta, gamma in comb.entrywise_splittings(alpha)
-    ).terms
-
-
-def tensor_to_nsym(t):
-    """Apply the NSym projection to both legs of a tensor; plain dict."""
-    return _Combination.sum(
-        ((a1, a2), c) for ((a1, _), (a2, _)), c in t.terms.items()
-    ).terms
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ class _FreeModel:
 
     def __init__(self):
         self._images = {}  # (alpha, sigma, word) -> ((output word, multiplicity), ...)
-        self._coproducts = {}  # word -> ((legs, multiplicity), ...), its 2-fold coproduct
+        self._coproducts = {}  # (k, word) -> ((legs, multiplicity), ...), its k-fold coproduct
         self._splits = {}  # (letter, k) -> its k-leg splittings, see letter_splits
 
     def letter_splits(self, letter, k):
@@ -281,8 +281,8 @@ def delta_power(model, k, f):
 
     Extended to words multiplicatively (the coproduct is an algebra
     morphism); k = 0 is the counit landing in arity-0 tensors, k = 1 the
-    identity.  A word's 2-fold coproduct, which every convolution takes, is
-    computed once per model and kept there.
+    identity.  Each word's k-fold coproduct is computed once per model and
+    kept there.
     """
     return FreeTensor(k, _summed(
         (legs, c * mult)
@@ -293,12 +293,11 @@ def delta_power(model, k, f):
 
 def _word_spread(model, k, word):
     """The ``(legs, multiplicity)`` pairs of the k-fold coproduct of one
-    word; for k = 2 read from the model's memo."""
-    if k != 2:
-        return _word_delta(model, k, word).items()
-    found = model._coproducts.get(word)
+    word, read from the model's memo."""
+    key = (k, word)
+    found = model._coproducts.get(key)
     if found is None:
-        found = model._coproducts[word] = tuple(_word_delta(model, 2, word).items())
+        found = model._coproducts[key] = tuple(_word_delta(model, k, word).items())
     return found
 
 

@@ -32,8 +32,6 @@ def test_size_and_concat():
 
 
 def test_composition_predicates():
-    assert comb.is_composition((3, 1))
-    assert not comb.is_composition((3, 0, 1))
     assert comb.is_weak_composition((3, 0, 1))
     assert not comb.is_weak_composition((3, -1))
 
@@ -42,7 +40,6 @@ def test_composition_predicates():
 def test_predicates_reject_entries_that_are_not_ints(bad):
     # a bool is an int subclass and would compare equal to 0 or 1
     assert not comb.is_weak_composition(bad)
-    assert not comb.is_composition(bad)
     assert not comb.is_permutation(bad)
 
 
@@ -380,8 +377,12 @@ def test_format_round_trips():
 
 
 def test_parsers_ignore_whitespace():
-    assert comb.parse_composition(" ( 3 , 0 , 1 ) ") == (3, 0, 1)
-    assert comb.parse_permutation("[ 2 , 1 ]") == (2, 1)
+    sc = comb.Scanner(" ( 3 , 0 , 1 ) ")
+    assert sc.composition() == (3, 0, 1)
+    assert sc.at_end()
+    sc = comb.Scanner("[ 2 , 1 ]")
+    assert sc.permutation() == (2, 1)
+    assert sc.at_end()
 
 
 @pytest.mark.parametrize("bad", ["(3,-1)", "(x)", "3,1", "((1);[1]"])
@@ -390,14 +391,14 @@ def test_bad_compositions_rejected(bad):
         if bad.startswith("(("):
             comb.parse_pair(bad)
         else:
-            comb.parse_composition(bad)
+            comb.Scanner(bad).composition()
 
 
 def test_bad_permutation_rejected():
     with pytest.raises(comb.ParseError):
-        comb.parse_permutation("[1,1]")
+        comb.Scanner("[1,1]").permutation()
     with pytest.raises(comb.ParseError):
-        comb.parse_permutation("[0]")
+        comb.Scanner("[0]").permutation()
 
 
 @given(weak_comps(), permutations())
