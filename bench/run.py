@@ -3,13 +3,14 @@
 
 Run from anywhere, standard library only::
 
-    python3 bench/run.py BENCH_12.json LABEL [--src DIR]
+    python3 bench/run.py BENCH_13.json LABEL [--src DIR]
 
 ``--src`` is the directory holding the ``pnsym`` package to time (default:
 this checkout's ``src``), so that two trees can be recorded side by side in
 one file; the acceptance suite timed is the one in the ``tests`` directory
-beside it.  Each timing is the median of 5 runs.  The entry records the CPU
-count and the Python version.
+beside it.  The package is byte-compiled first, as perfbench does, so that
+no timed start-up compiles it.  Each timing is the median of 5 runs.  The
+entry records the CPU count and the Python version.
 
 End to end, each run a fresh process: ``pnsym ktable`` on (1,5), (2,4) and
 (1,6), the default ``pnsym verify``, and the acceptance suite as
@@ -32,6 +33,7 @@ tree that computes the same products.
 """
 
 import argparse
+import compileall
 import contextlib
 import json
 import os
@@ -164,6 +166,8 @@ def main(argv=None):
     ap.add_argument("--src", type=Path, default=ROOT / "src")
     args = ap.parse_args(argv)
     src = args.src.resolve()
+    if not compileall.compile_dir(str(src / "pnsym"), quiet=1):
+        sys.exit("error: the pnsym sources do not compile")
 
     sys.path.insert(0, str(src))
     from pnsym import checker, combinatorics as comb, core, oracle, verify

@@ -9,9 +9,14 @@ coefficient equality.  Three products/coproducts live here:
   (mirrors convolution of the twisted operators);
 * :func:`internal_mul` -- sum over contingency tables (mirrors composition);
 * :func:`coproduct` -- entrywise decompositions of the composition.
+
+The antipode and the coproduct read one splitting kernel,
+:func:`_key_coproduct`.  ``internal_mul``, ``coproduct`` and ``antipode``
+sum ints and divide once per call (:func:`_cleared`); memos last one call.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import combinatorics as comb
@@ -54,6 +59,14 @@ class _Combination:
         for key, c in pairs:
             terms[key] = terms.get(key, 0) + c
         return cls(terms)
+
+    @classmethod
+    def over(cls, terms, den):
+        """The combination of ``terms`` divided by ``den``: the int sums of a
+        kernel that cleared its inputs' denominators (:func:`_cleared`)."""
+        if den == 1:
+            return cls(terms)
+        return cls({key: Fraction(c, den) for key, c in terms.items()})
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
@@ -130,23 +143,29 @@ def internal_mul(f, g):
     degree contribute nothing.
 
     The tables and their zero-drops depend only on (a, b), so each shape is
-    enumerated once per call (:func:`_table_groups`).  Per key pair the
-    twist is inverted once.  Each group of tables with the same nonzero
-    cells takes as its permutation the twist standardized on those cells,
-    from one walk of the inverse: the kept cells are ranked 1, 2, ... in
-    the order the inverse visits them, each found through the group's slot
-    array (:func:`_slot_array`), so nothing is sorted.  Slot arrays are kept
-    for the call, keyed by the flattening's length and the kept cells: one
-    set of kept cells recurs under several lengths.
+    enumerated once per call (:func:`_table_groups`).  The twist's inverse
+    is built directly, from each key's inverse taken once per call.  Each
+    group of tables with the same nonzero cells takes as its permutation
+    the twist standardized on those cells, from one walk of the inverse:
+    the kept cells are ranked 1, 2, ... in the order the inverse visits
+    them, each found through the group's slot array (:func:`_slot_array`),
+    so nothing is sorted.  Slot arrays are kept for the call, keyed by the
+    flattening's length and the kept cells: one set of kept cells recurs
+    under several lengths.
     """
     shapes = {}
     slots = {}
-    g_by_degree = _by_degree(g)
+    f_terms, f_den = _cleared(f)
+    g_terms, g_den = _cleared(g)
+    g_by_degree = {}
+    for (b, t), d in g_terms.items():
+        g_by_degree.setdefault(sum(b), []).append((b, comb.inverse(t), d))
     terms = {}
-    for (a, s), c in f.terms.items():
-        for (b, t), d in g_by_degree.get(sum(a), ()):
+    for (a, s), c in f_terms.items():
+        inv_s = comb.inverse(s)
+        for b, inv_t, d in g_by_degree.get(sum(a), ()):
             cd = c * d
-            inv = comb.inverse(comb.wreath_substitute(t, s))
+            inv = comb.wreath_substitute(inv_s, inv_t)
             n = len(inv)
             for kept, alphas in _table_groups(a, b, shapes):
                 slot = slots.get((n, kept))
@@ -163,7 +182,7 @@ def internal_mul(f, g):
                 for alpha in alphas:
                     key = (alpha, sigma)
                     terms[key] = terms.get(key, 0) + cd
-    return PnsymElement(terms)
+    return PnsymElement.over(terms, f_den * g_den)
 
 
 def _slot_array(n, kept):
@@ -176,12 +195,13 @@ def _slot_array(n, kept):
     return slot
 
 
-def _by_degree(g):
-    """The terms of ``g`` by degree."""
-    out = {}
-    for key, d in g.terms.items():
-        out.setdefault(sum(key[0]), []).append((key, d))
-    return out
+def _cleared(f):
+    """The terms of ``f`` times the lcm of their denominators, as ints, and
+    that lcm, for :meth:`_Combination.over`; int terms pass through."""
+    den = math.lcm(*[c.denominator for c in f.terms.values()])
+    if den == 1:
+        return f.terms, 1
+    return {key: c.numerator * (den // c.denominator) for key, c in f.terms.items()}, den
 
 
 def _table_groups(a, b, shapes):
@@ -236,31 +256,45 @@ def coproduct(f):
 
     Delta(F(a;s)) = sum of F(b;s) (x) F(c;s) over weak b + c = a, each leg
     reduced.  Distinct splittings may reduce to the same pair of keys, so
-    coefficients accumulate.
+    coefficients accumulate, as ints (:func:`_cleared`).
     """
-    return PnsymTensor.sum(
-        (pair, c)
-        for (alpha, sigma), c in f.terms.items()
-        for pair in _key_coproduct(alpha, sigma)
-    )
+    terms, den = _cleared(f)
+    out = {}
+    for (alpha, sigma), c in terms.items():
+        for pair in _key_coproduct(alpha, sigma):
+            out[pair] = out.get(pair, 0) + c
+    return PnsymTensor.over(out, den)
 
 
 def _key_coproduct(alpha, sigma):
     """The reduced legs of each entrywise splitting of F(alpha; sigma), in
-    order.  Many splittings share a support, so sigma is standardized on
-    each support once."""
-    by_support = {}
-    positions = range(len(alpha))
+    lexicographic order of the left leg's weak composition beta: the one
+    splitting kernel, read by :func:`coproduct` and the antipode.
 
-    def reduced(beta):
-        keep = tuple(itertools.compress(positions, beta))
-        s = by_support.get(keep)
-        if s is None:
-            s = by_support[keep] = comb.standardize(itertools.compress(sigma, beta))
-        return tuple(itertools.compress(beta, beta)), s
-
-    for beta, gamma in comb.entrywise_splittings(alpha):
-        yield reduced(beta), reduced(gamma)
+    One pass over beta builds each leg's nonzero values and its support, a
+    bitmask of positions.  Each mask is some leg's support, so sigma is
+    standardized on every mask once, up front: a kept position's rank is
+    one more than the number of kept positions below it in value.
+    """
+    n = len(sigma)
+    below = [sum(1 << j for j in range(n) if sigma[j] < v) for v in sigma]
+    ranked = [
+        tuple([(mask & below[i]).bit_count() + 1 for i in range(n) if mask >> i & 1])
+        for mask in range(1 << n)
+    ]
+    for beta in itertools.product(*[range(x + 1) for x in alpha]):
+        left, right = [], []
+        lmask = rmask = 0
+        bit = 1
+        for x, b in zip(alpha, beta):
+            if b:
+                left.append(b)
+                lmask |= bit
+            if b < x:
+                right.append(x - b)
+                rmask |= bit
+            bit <<= 1
+        yield (tuple(left), ranked[lmask]), (tuple(right), ranked[rmask])
 
 
 def antipode(f):
@@ -269,33 +303,39 @@ def antipode(f):
     S(F-empty) = F-empty and, for a key x of positive degree,
     S(x) = -x - sum S(x') x'' over the proper part of the coproduct (both
     legs of positive degree).  The proper legs have strictly smaller degree,
-    so the recursion terminates; a per-call memo keeps it polynomial.
+    so the recursion terminates; a per-call memo keeps it polynomial.  Each
+    S(x) has int coefficients, so ``f``'s denominators are cleared first.
     """
-    memo = {}
-    return PnsymElement.sum(
-        (k2, c * d)
-        for key, c in f.terms.items()
-        for k2, d in _antipode_key(key, memo).terms.items()
-    )
+    terms, den = _cleared(f)
+    memo = {EMPTY_KEY: {EMPTY_KEY: 1}}
+    shifts = {}
+    out = {}
+    for key, c in terms.items():
+        for k2, d in _antipode_key(key, memo, shifts).items():
+            out[k2] = out.get(k2, 0) + c * d
+    return PnsymElement.over(out, den)
 
 
-def _antipode_key(key, memo):
-    """S(key), memoized in ``memo``: for each proper coproduct term
-    c F(x') (x) F(b;t), each term d F(a;s) of S(x') adds -c d at
-    (a + b, s (+) t) to one dict."""
-    if key == EMPTY_KEY:
-        return UNIT
+def _antipode_key(key, memo, shifts):
+    """S(key) as a dict, memoized in ``memo``: for each proper splitting
+    pair (x', F(b;t)) of key, met c times, each term d F(a;s) of S(x') adds
+    -c d at (a + b, s (+) t).  ``shifts`` keeps t + len(s), the right half
+    of s (+) t, per (t, len(s))."""
     if key in memo:
         return memo[key]
+    pairs = {}
+    for pair in _key_coproduct(*key):
+        if pair[0][0] and pair[1][0]:  # proper part only
+            pairs[pair] = pairs.get(pair, 0) + 1
     terms = {key: -1}
-    for (left, right), c in coproduct(PnsymElement({key: 1})).terms.items():
-        if EMPTY_KEY in (left, right):
-            continue  # proper part only
-        b, t = right
-        for (a, s), d in _antipode_key(left, memo).terms.items():
-            k2 = (a + b, comb.direct_sum(s, t))
+    for (left, (b, t)), c in pairs.items():
+        for (a, s), d in _antipode_key(left, memo, shifts).items():
+            shifted = shifts.get((t, len(s)))
+            if shifted is None:
+                shifted = shifts[t, len(s)] = tuple(x + len(s) for x in t)
+            k2 = (a + b, s + shifted)
             terms[k2] = terms.get(k2, 0) - c * d
-    result = memo[key] = PnsymElement(terms)
+    result = memo[key] = {k2: d for k2, d in terms.items() if d}
     return result
 
 

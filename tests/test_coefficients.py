@@ -59,6 +59,43 @@ def test_core_producers(f, g):
     assert canonical(tensor_to_nsym(core.coproduct(f)))
 
 
+X2, X12, X21 = ((2,), (1,)), ((1, 1), (1, 2)), ((1, 1), (2, 1))
+HALF, THIRD, QUARTER = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+
+
+def _whole_and_dropped(whole, zero, key):
+    assert whole.terms[key] == 1 and type(whole.terms[key]) is int
+    assert key not in zero.terms
+    assert canonical(whole.terms) and canonical(zero.terms)
+
+
+def test_internal_mul_sums_fractions_to_ints_and_zeros():
+    # F(2) * F(11;12) and F(11;12) * F(11;12) each hold F(11;12) once
+    x, y, g = core.basis(*X2), core.basis(*X12), Fraction(3, 2) * core.basis(*X12)
+    _whole_and_dropped(
+        core.internal_mul(THIRD * x + THIRD * y, g),
+        core.internal_mul(THIRD * x - THIRD * y, g),
+        X12,
+    )
+
+
+def test_coproduct_sums_fractions_to_ints_and_zeros():
+    # F(1) # F(1) appears once in Delta F(2) and twice in Delta F(11;12)
+    middle = (((1,), (1,)), ((1,), (1,)))
+    x, y = core.basis(*X2), core.basis(*X12)
+    _whole_and_dropped(
+        core.coproduct(HALF * y), core.coproduct(HALF * x - QUARTER * y), middle
+    )
+
+
+def test_antipode_sums_fractions_to_ints_and_zeros():
+    # S F(2) holds F(11;12) once, S F(11;21) twice
+    x, y = core.basis(*X2), core.basis(*X21)
+    _whole_and_dropped(
+        core.antipode(HALF * y), core.antipode(HALF * x - QUARTER * y), X12
+    )
+
+
 @given(st.lists(
     st.tuples(st.sampled_from(KEYS), st.integers(0, 6), st.integers(1, 3)), min_size=1, max_size=3
 ))

@@ -198,6 +198,17 @@ def test_wreath_substitution_is_associative(sigma, tau, ups):
     assert lhs == rhs
 
 
+def test_inverse_of_a_wreath_substitution_is_the_swapped_substitution():
+    """inverse(t[s]) = inverse(s)[inverse(t)]: how ``internal_mul`` builds
+    its twists' inverses."""
+    perms = [p for k in range(5) for p in itertools.permutations(range(1, k + 1))]
+    for s in perms:
+        for t in perms:
+            assert comb.inverse(comb.wreath_substitute(t, s)) == comb.wreath_substitute(
+                comb.inverse(s), comb.inverse(t)
+            )
+
+
 @given(permutations(4))
 def test_wreath_with_trivial_factors(sigma):
     assert comb.wreath_substitute((1,), sigma) == sigma

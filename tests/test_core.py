@@ -330,6 +330,22 @@ def test_coproduct_is_splitting_sum():
     assert core.coproduct(F(alpha, sigma)) == expected
 
 
+def test_coproduct_matches_reference_in_order():
+    # every key of degree <= 5; the mixtures below carry fractions
+    for key in keys_up_to(5):
+        f = core.basis(*key)
+        got, want = core.coproduct(f), hopf_reference.coproduct(f)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+@given(elements(max_size=4, max_terms=4))
+@settings(max_examples=60, deadline=None)
+def test_coproduct_matches_reference_in_order_on_mixtures(f):
+    got, want = core.coproduct(f), hopf_reference.coproduct(f)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert canonical(got.terms)
+
+
 def test_elements_and_tensors_do_not_add():
     x = F((1,), (1,))
     with pytest.raises(TypeError):
