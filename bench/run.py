@@ -3,7 +3,7 @@
 
 Run from anywhere, standard library only::
 
-    python3 bench/run.py BENCH_13.json LABEL [--src DIR]
+    python3 bench/run.py BENCH_<n>.json LABEL [--src DIR]
 
 ``--src`` is the directory holding the ``pnsym`` package to time (default:
 this checkout's ``src``), so that two trees can be recorded side by side in

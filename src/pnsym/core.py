@@ -148,13 +148,9 @@ def internal_mul(f, g):
     group of tables with the same nonzero cells takes as its permutation
     the twist standardized on those cells, from one walk of the inverse:
     the kept cells are ranked 1, 2, ... in the order the inverse visits
-    them, each found through the group's slot array (:func:`_slot_array`),
-    so nothing is sorted.  Slot arrays are kept for the call, keyed by the
-    flattening's length and the kept cells: one set of kept cells recurs
-    under several lengths.
+    them, each found through the group's slot array, so nothing is sorted.
     """
     shapes = {}
-    slots = {}
     f_terms, f_den = _cleared(f)
     g_terms, g_den = _cleared(g)
     g_by_degree = {}
@@ -166,11 +162,7 @@ def internal_mul(f, g):
         for b, inv_t, d in g_by_degree.get(sum(a), ()):
             cd = c * d
             inv = comb.wreath_substitute(inv_s, inv_t)
-            n = len(inv)
-            for kept, alphas in _table_groups(a, b, shapes):
-                slot = slots.get((n, kept))
-                if slot is None:
-                    slot = slots[(n, kept)] = _slot_array(n, kept)
+            for kept, slot, alphas in _table_groups(a, b, shapes):
                 ranks = [0] * len(kept)
                 r = 0
                 for p in inv:
@@ -183,16 +175,6 @@ def internal_mul(f, g):
                     key = (alpha, sigma)
                     terms[key] = terms.get(key, 0) + cd
     return PnsymElement.over(terms, f_den * g_den)
-
-
-def _slot_array(n, kept):
-    """The slot array of the cells ``kept`` of a flattening of length ``n``:
-    a list indexed by 1-based position, holding the index in ``kept`` of the
-    cell there, or ``None``."""
-    slot = [None] * (n + 1)
-    for j, i in enumerate(kept):
-        slot[i + 1] = j
-    return slot
 
 
 def _cleared(f):
@@ -208,17 +190,24 @@ def _table_groups(a, b, shapes):
     """The tables with row sums ``a`` and column sums ``b``, grouped by the
     nonzero cells of :func:`pnsym.combinatorics.contingency_tables`.
 
-    Returns ``[(kept, alphas)]``, groups in order of first appearance:
+    Returns ``[(kept, slot, alphas)]``, groups in order of first appearance:
     ``kept`` lists the nonzero cells' positions in the row-major flattening,
-    and ``alphas`` the group's tables' entries there (distinct, since the
-    tables are).  ``shapes`` is the caller's cache, keyed by ``(a, b)``.
+    ``slot`` is indexed by 1-based position in that flattening and holds the
+    index in ``kept`` of the cell there, or ``None``, and ``alphas`` lists
+    the group's tables' entries at ``kept`` (distinct, since the tables
+    are).  ``shapes`` is the caller's cache, keyed by ``(a, b)``.
     """
     groups = shapes.get((a, b))
     if groups is None:
         by_kept = {}
         for kept, alpha in comb.contingency_tables(a, b):
             by_kept.setdefault(kept, []).append(alpha)
-        groups = shapes[(a, b)] = list(by_kept.items())
+        groups = shapes[(a, b)] = []
+        for kept, alphas in by_kept.items():
+            slot = [None] * (len(a) * len(b) + 1)
+            for j, i in enumerate(kept):
+                slot[i + 1] = j
+            groups.append((kept, slot, alphas))
     return groups
 
 

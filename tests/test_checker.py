@@ -356,6 +356,25 @@ def test_k_value_frozen_entries():
     assert k_value(3, 3, 5) == 1
 
 
+@pytest.mark.parametrize(
+    "i, j, sizes",
+    [
+        (1, 5, [2, 7, 16, 55, 146, 485, 1022, 1318, 602, 720, 0]),
+        (2, 4, [2, 11, 70, 600, 1044, 1248, 612, 720, 0]),
+    ],
+)
+def test_bracket_powers_support_sizes(i, j, sizes):
+    # support size of each successive power of F((i,j);[1,2]) - F((j,i);[1,2])
+    bracket = F((i, j), (1, 2)) - F((j, i), (1, 2))
+    power = bracket
+    got = [len(power.terms)]
+    for _ in sizes[1:]:
+        power = core.internal_mul(power, bracket)
+        got.append(len(power.terms))
+    assert got == sizes
+    assert k_value(i, j, len(sizes)) == len(sizes)
+
+
 def test_k_value_not_found_below_the_threshold():
     assert k_value(1, 2, 3) is None
 

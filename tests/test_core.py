@@ -1,8 +1,13 @@
 """The Hopf algebra of basis keys: products, coproduct, antipode, bridge."""
 
 import itertools
+import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -117,7 +122,14 @@ def test_table_groups_match_reference_grouping_in_order():
                     flat = [x for row in table for x in row]
                     kept = tuple(i for i, x in enumerate(flat) if x)
                     want.setdefault(kept, []).append(tuple(flat[i] for i in kept))
-                assert core._table_groups(a, b, {}) == list(want.items())
+                groups = core._table_groups(a, b, {})
+                assert [(kept, alphas) for kept, _, alphas in groups] == list(want.items())
+                # each group's slot array maps a 1-based flattening position
+                # to the index of its kept cell there, and nothing else
+                for kept, slot, _ in groups:
+                    assert len(slot) == len(a) * len(b) + 1
+                    where = {i + 1: j for j, i in enumerate(kept)}
+                    assert slot == [where.get(p) for p in range(len(slot))]
 
 
 def test_internal_mul_frozen():
@@ -243,7 +255,7 @@ def _ranked_by_sorting(key1, key2):
     twist = comb.wreath_substitute(t, s)
     return core.PnsymElement.sum(
         ((alpha, comb.standardize([twist[i] for i in kept])), 1)
-        for kept, alphas in core._table_groups(a, b, {})
+        for kept, _, alphas in core._table_groups(a, b, {})
         for alpha in alphas
     )
 
@@ -282,7 +294,8 @@ def mixtures(draw):
 
 
 @given(mixtures())
-# cells 0..3 are kept in a 2 x 2 table (n = 4), then in a 2 x 3 one (n = 6)
+# cells 0..3 are kept in a 2 x 2 table, then in a 2 x 3 one: a slot array
+# built for one shape would misplace the other's cells
 @example((F((2, 2), (1, 2)) + F((3, 1), (2, 1)), F((2, 2), (2, 1)) + F((2, 1, 1), (1, 3, 2))))
 @settings(max_examples=60, deadline=None)
 def test_products_of_mixed_lengths_match_the_reference(pair):
@@ -485,6 +498,63 @@ def test_basis_keys_sorted_canonically():
         ((2, 1), (2, 1)),
         ((3,), (1,)),
     ]
+
+
+# no state between calls ---------------------------------------------------------
+
+# Run in a fresh interpreter, so that a module-level memo cannot already hold
+# every input the batch brings.
+_STATE_PROBE = """
+import json, random
+from fractions import Fraction
+from pnsym import combinatorics as comb, core
+
+def sizes():
+    # every dict, list and set bound at module level or as a function default
+    out = {}
+    for module in (core, comb):
+        for name, value in vars(module).items():
+            if isinstance(value, (dict, list, set)) and not name.startswith("__"):
+                out[f"{module.__name__}.{name}"] = len(value)
+            for i, default in enumerate(getattr(value, "__defaults__", None) or ()):
+                if isinstance(default, (dict, list, set)):
+                    out[f"{module.__name__}.{name} default {i}"] = len(default)
+    return out
+
+before = sizes()
+rng = random.Random(20261019)
+keys = [list(comb.mopiscotions(n)) for n in range(6)]
+for _ in range(30):
+    n = rng.randrange(1, 6)
+    f, g = (
+        core.PnsymElement.sum(
+            (rng.choice(keys[n]), Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+            for _ in range(3)
+        )
+        for _ in range(2)
+    )
+    core.internal_mul(f, g)
+    core.coproduct(f)
+    core.antipode(g)
+cached = [
+    f"{module.__name__}.{name}"
+    for module in (core, comb)
+    for name, value in vars(module).items()
+    if hasattr(value, "cache_info")
+]
+print(json.dumps({"before": before, "after": sizes(), "cached": cached}))
+"""
+
+
+def test_core_keeps_no_state_between_calls():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(core.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", _STATE_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    state = json.loads(run.stdout)
+    assert state["cached"] == []
+    assert state["after"] == state["before"]
 
 
 # bridge to the untwisted subalgebra ----------------------------------------------
