@@ -1,5 +1,11 @@
 """The verification driver: family enumeration and reports."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from pnsym import combinatorics as comb
@@ -83,13 +89,28 @@ def test_failing_cases_are_reported_by_label(monkeypatch):
     results = verify.run_all(
         model_size=3,
         max_size=2,
-        names=["composition-expansion", "cocommutative-collapse", "shuffle-factorization"],
+        names=[
+            "composition-expansion",
+            "convolution-concatenation",
+            "reduction-invariance",
+            "cocommutative-collapse",
+            "shuffle-factorization",
+        ],
     )
     assert [(r.name, r.cases, r.failures, r.examples) for r in results] == [
         ("composition-expansion", 156, 24, (
             "((1);[1]) ((1);[1]) (1,2)",
             "((1);[1]) ((1);[1]) (2,3)",
             "((2);[1]) ((2);[1]) (1,3)",
+        )),
+        ("convolution-concatenation", 125, 2, (
+            "((1);[1]) ((1,1);[2,1]) x(1,2)x(1,3)",
+            "((1);[1]) ((1,1);[2,1]) mixed",
+        )),
+        ("reduction-invariance", 642, 101, (
+            "((0,1);[2,1]) (1,2)",
+            "((0,1);[2,1]) (2,3)",
+            "((1,0);[2,1]) (1,2)",
         )),
         ("cocommutative-collapse", 6, 4, (
             "((1,1);[2,1]) y(1)y(1)",
@@ -102,3 +123,51 @@ def test_failing_cases_are_reported_by_label(monkeypatch):
             "1 3 (1,) (1, 2, 3)",
         )),
     ]
+    # core's products substitute permutations too, so this patch gets a run
+    # of its own, after the results above are read
+    monkeypatch.setattr(comb, "wreath_substitute", _reversed_result(comb.wreath_substitute))
+    (result,) = verify.run_all(model_size=3, max_size=2, names=["wreath-associativity"])
+    assert (result.cases, result.failures, result.examples) == (243, 234, (
+        "1 1 2 (1,) (1,) (1, 2)",
+        "1 1 2 (1,) (1,) (2, 1)",
+        "1 2 2 (1,) (1, 2) (1, 2)",
+    ))
+
+
+_STATE_PROBE = """
+import json
+from pnsym import oracle, verify
+
+def sizes():
+    # every dict, list and set bound at module level or as a function default
+    out = {}
+    for module in (verify, oracle):
+        for name, value in vars(module).items():
+            if isinstance(value, (dict, list, set)) and not name.startswith("__"):
+                out[f"{module.__name__}.{name}"] = len(value)
+            for i, default in enumerate(getattr(value, "__defaults__", None) or ()):
+                if isinstance(default, (dict, list, set)):
+                    out[f"{module.__name__}.{name} default {i}"] = len(default)
+    return out
+
+before = sizes()
+runs = [
+    [repr(verify.run_family(name, 3, 2)) for name in verify.FAMILIES]
+    for _ in range(2)
+]
+print(json.dumps({"before": before, "after": sizes(), "runs": runs}))
+"""
+
+
+def test_verify_keeps_no_state_between_runs():
+    # perfbench makes every family request more than once in one process, so
+    # a value kept past its family run would be read again by the next run
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(verify.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", _STATE_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    state = json.loads(run.stdout)
+    first, second = state["runs"]
+    assert first == second
+    assert state["after"] == state["before"]
