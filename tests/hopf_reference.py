@@ -26,16 +26,18 @@ def tensor_of(f, g):
 
 
 def tensor_mul(product, s, t):
-    """Leg-wise product of two tensors.
+    """Leg-wise product of two tensors, its terms summed once.
 
     ``product`` multiplies elements; (a # b)(c # d) = product(a, c) # product(b, d).
     """
-    out = core.PnsymTensor()
-    for (a1, a2), c in s.terms.items():
-        for (b1, b2), d in t.terms.items():
-            legs = product(_key(a1), _key(b1)), product(_key(a2), _key(b2))
-            out = out + (c * d) * tensor_of(*legs)
-    return out
+    return core.PnsymTensor.sum(
+        (legs, c * d * e)
+        for (a1, a2), c in s.terms.items()
+        for (b1, b2), d in t.terms.items()
+        for legs, e in tensor_of(
+            product(_key(a1), _key(b1)), product(_key(a2), _key(b2))
+        ).terms.items()
+    )
 
 
 def coproduct(f):
@@ -58,12 +60,13 @@ def convolve_maps(phi, psi, f):
     """m . (phi (x) psi) . Delta applied to f, for maps on elements.
 
     This is the convolution product in which the antipode is the inverse of
-    the identity.
+    the identity.  The terms are summed once, by ``PnsymElement.sum``.
     """
-    out = core.ZERO
-    for (k1, k2), c in core.coproduct(f).terms.items():
-        out = out + c * core.external_mul(phi(_key(k1)), psi(_key(k2)))
-    return out
+    return core.PnsymElement.sum(
+        (key, c * d)
+        for (k1, k2), c in core.coproduct(f).terms.items()
+        for key, d in core.external_mul(phi(_key(k1)), psi(_key(k2))).terms.items()
+    )
 
 
 def antipode(f):
