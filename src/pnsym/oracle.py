@@ -120,7 +120,9 @@ class FreeTensor(FreeElement):
 
 
 def element(word, coeff=1):
-    return FreeElement({tuple(word): Fraction(coeff)})
+    if not isinstance(coeff, int):
+        coeff = Fraction(coeff)
+    return FreeElement({tuple(word): coeff})
 
 
 def one():

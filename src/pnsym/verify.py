@@ -161,14 +161,18 @@ def _fam_composition_expansion(cfg):
     # weak keys go through from_weak_term (reduction on ingest)
     weak = _weak_pairs_up_to(max(cfg.max_size - 1, 0), cfg.max_size)
     for keys in (strict, weak):
-        for (a, s), (b, t) in itertools.product(keys, keys):
+        # per key: its element, and its images of the generators, the inner
+        # operand of every case where it acts second
+        operands = [
+            (key, core.from_weak_term(1, key), [oracle.apply_pas(model, *key, x) for _, x in gens])
+            for key in keys
+        ]
+        for ((a, s), f, _), ((b, t), g, inner) in itertools.product(operands, operands):
             if sum(a) != sum(b):
                 continue
-            expansion = core.internal_mul(
-                core.from_weak_term(1, (a, s)), core.from_weak_term(1, (b, t))
-            )
-            for gname, x in gens:
-                lhs = oracle.apply_pas(model, a, s, oracle.apply_pas(model, b, t, x))
+            expansion = core.internal_mul(f, g)
+            for (gname, x), y in zip(gens, inner):
+                lhs = oracle.apply_pas(model, a, s, y)
                 rhs = oracle.evaluate_pnsym(model, expansion, x)
                 yield lhs == rhs, lambda: _case_label(
                     comb.format_pair(a, s), comb.format_pair(b, t), gname
@@ -180,20 +184,31 @@ def _fam_convolution_concatenation(cfg):
     model = oracle.TriangularModel(cfg.model_size)
     probes = _probe_elements(model)
     keys = _mopiscotions_up_to(cfg.max_size)
+    operators = {key: _remembered(model, *key) for key in keys}
     for (a, s), (b, t) in itertools.product(keys, keys):
         glued_alpha = comb.concat(a, b)
         glued_sigma = comb.direct_sum(s, t)
         for pname, x in probes:
-            lhs = oracle.convolve(
-                model,
-                lambda e, a=a, s=s: oracle.apply_pas(model, a, s, e),
-                lambda e, b=b, t=t: oracle.apply_pas(model, b, t, e),
-                x,
-            )
+            lhs = oracle.convolve(model, operators[a, s], operators[b, t], x)
             rhs = oracle.apply_pas(model, glued_alpha, glued_sigma, x)
             yield lhs == rhs, lambda: _case_label(
                 comb.format_pair(a, s), comb.format_pair(b, t), pname
             )
+
+
+def _remembered(model, alpha, sigma):
+    """The operator p_(alpha, sigma) on ``model``, keeping each value it
+    returns for as long as the function lives."""
+    values = {}
+
+    def operator(e):
+        key = tuple(e.terms.items())
+        value = values.get(key)
+        if value is None:
+            value = values[key] = oracle.apply_pas(model, alpha, sigma, e)
+        return value
+
+    return operator
 
 
 def _fam_projection_convolution(cfg):
@@ -214,11 +229,16 @@ def _fam_reduction_invariance(cfg):
     """A weak key and its reduction give the same operator."""
     model = oracle.TriangularModel(cfg.model_size)
     gens = _generator_elements(model)
+    reduced_images = {}  # reduced key -> its images of the generators
     for alpha, sigma in _weak_pairs_up_to(cfg.max_size, cfg.max_size + 2, max_zeros=2):
-        red_alpha, red_sigma = comb.reduce_pair(alpha, sigma)
-        for gname, x in gens:
+        reduced = comb.reduce_pair(alpha, sigma)
+        images = reduced_images.get(reduced)
+        if images is None:
+            images = reduced_images[reduced] = [
+                oracle.apply_pas(model, *reduced, x) for _, x in gens
+            ]
+        for (gname, x), rhs in zip(gens, images):
             lhs = oracle.apply_pas(model, alpha, sigma, x)
-            rhs = oracle.apply_pas(model, red_alpha, red_sigma, x)
             yield lhs == rhs, lambda: _case_label(comb.format_pair(alpha, sigma), gname)
 
 
@@ -320,6 +340,7 @@ def _fam_shuffle_factorization(cfg):
 def _fam_wreath_associativity(cfg):
     """Substitution of permutations is associative."""
     bound = cfg.max_size + 1
+    outer = {}  # (ups, tau) -> wreath_substitute(ups, tau), for every sigma
     for k in range(1, bound + 1):
         for length in range(1, bound + 1):
             for m in range(1, cfg.max_size + 1):
@@ -328,7 +349,10 @@ def _fam_wreath_associativity(cfg):
                         inner = comb.wreath_substitute(tau, sigma)
                         for ups in itertools.permutations(range(1, m + 1)):
                             lhs = comb.wreath_substitute(ups, inner)
-                            rhs = comb.wreath_substitute(comb.wreath_substitute(ups, tau), sigma)
+                            ups_tau = outer.get((ups, tau))
+                            if ups_tau is None:
+                                ups_tau = outer[ups, tau] = comb.wreath_substitute(ups, tau)
+                            rhs = comb.wreath_substitute(ups_tau, sigma)
                             yield lhs == rhs, lambda: _case_label(k, length, m, sigma, tau, ups)
 
 
