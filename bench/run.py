@@ -26,10 +26,17 @@ Layers, each timed alone on fixed inputs:
   ``coproduct`` and ``antipode`` calls of the same hopf stream;
 * ``apply_pas`` -- every ``oracle.apply_pas`` call of the default
   ``composition-expansion`` verify family, in its order, on a fresh model
-  for each run, so that no run reads the images another run memoized.
+  for each run, so that no run reads the images another run memoized;
+* ``verify`` -- ``verify.run_family`` at the default bounds for each family
+  in ``VERIFY_FAMILIES`` below, in process.  A family run builds its own
+  models and keeps nothing past its end, so every run starts cold.  Its
+  call count is the number of cases it runs.
 
 The inputs are recorded once, before any timing, and are the same for any
-tree that computes the same products.
+tree that computes the same products, except the ``apply_pas`` layer's: it
+replays the calls the timed tree's family makes, so a tree that calls
+``apply_pas`` less often replays fewer calls (``layer_calls`` says how
+many).
 """
 
 import argparse
@@ -48,6 +55,13 @@ ROOT = Path(__file__).resolve().parent.parent
 KTABLE = [(1, 5), (2, 4), (1, 6)]
 HOPF_SEED = 1
 HOPF_CALLS = 800
+# the verify families timed one by one, in process
+VERIFY_FAMILIES = (
+    "composition-expansion",
+    "convolution-concatenation",
+    "reduction-invariance",
+    "wreath-associativity",
+)
 RUNS = 5
 
 
@@ -147,6 +161,12 @@ def layer_runs(checker, comb, core, oracle, verify):
     pas = []
     with recording(oracle, "apply_pas", pas):
         verify.run_family("composition-expansion")
+    families = {
+        f"verify {name}": (
+            lambda name=name: verify.run_family(name), verify.run_family(name).cases
+        )
+        for name in VERIFY_FAMILIES
+    }
     return {
         "contingency_tables hopf": (drain_tables(comb, tables["hopf"]), len(tables["hopf"])),
         "contingency_tables k15": (drain_tables(comb, tables["k15"]), len(tables["k15"])),
@@ -156,6 +176,7 @@ def layer_runs(checker, comb, core, oracle, verify):
         "coproduct hopf": (replay(core.coproduct, hopf["coproduct"]), len(hopf["coproduct"])),
         "antipode hopf": (replay(core.antipode, hopf["antipode"]), len(hopf["antipode"])),
         "apply_pas composition-expansion": (replay_on_fresh_model(oracle, pas), len(pas)),
+        **families,
     }
 
 
