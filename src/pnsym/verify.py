@@ -7,9 +7,10 @@ randomness, so reports are byte-identical between runs) and reports how many
 cases were run and how many failed.  A family yields one ``(ok, label)`` pair
 per case; ``label`` is a zero-argument callable, so only the failures kept as
 examples are ever formatted.  A family computes the operands its cases share
-(a key's element and its images of the generators, a reduced key's images,
-a substituted pair of permutations) once per run, in locals of that run,
-so nothing it computes is read by another run.
+(a key's element and its images of the generators, an operator's values on
+the legs of a coproduct, a reduced key's images, a substituted pair of
+permutations) once per run, in locals of that run, so nothing it computes
+is read by another run.
 
 The driver is what ``pnsym verify`` runs.  Families can also be run one at a
 time through :func:`run_family`, which the test suite uses to push individual
