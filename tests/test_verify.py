@@ -134,6 +134,36 @@ def test_failing_cases_are_reported_by_label(monkeypatch):
     ))
 
 
+def _legs_swapped(model, phi, psi, f):
+    """``oracle.convolve`` with ``phi`` on the right leg and ``psi`` on the left."""
+    return sum(
+        (
+            c * oracle.element_mul(model, phi(oracle.element(w2)), psi(oracle.element(w1)))
+            for (w1, w2), c in oracle.delta_power(model, 2, f).terms.items()
+        ),
+        oracle.FreeElement(),
+    )
+
+
+def test_a_wrong_convolution_fails_both_convolution_families(monkeypatch):
+    # phi on the right Sweedler leg and psi on the left: the convolution over
+    # the opposite coproduct, which the triangular model tells apart
+    monkeypatch.setattr(oracle, "convolve", _legs_swapped)
+    results = verify.run_all(
+        model_size=3,
+        max_size=2,
+        names=["projection-convolution", "convolution-concatenation"],
+    )
+    assert [(r.cases, r.failures, r.examples) for r in results] == [
+        (100, 8, ("(1,1) (1,3)", "(1,1) mixed", "(0,1,1) (1,3)")),
+        (125, 14, (
+            "((1);[1]) ((1);[1]) (1,3)",
+            "((1);[1]) ((1);[1]) mixed",
+            "((1);[1]) ((2);[1]) x(1,2)x(1,3)",
+        )),
+    ]
+
+
 _STATE_PROBE = """
 import json
 from pnsym import oracle, verify
