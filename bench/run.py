@@ -28,9 +28,11 @@ Layers, each timed alone on fixed inputs:
   ``composition-expansion`` verify family, in its order, on a fresh model
   for each run, so that no run reads the images another run memoized;
 * ``verify`` -- ``verify.run_family`` at the default bounds for each family
-  in ``VERIFY_FAMILIES`` below, in process.  A family run builds its own
-  models and keeps nothing past its end, so every run starts cold.  Its
-  call count is the number of cases it runs.
+  in ``VERIFY_FAMILIES`` below (``composition-expansion``,
+  ``convolution-concatenation``, ``projection-convolution``,
+  ``reduction-invariance`` and ``wreath-associativity``), in process.  A
+  family run builds its own models and keeps nothing past its end, so every
+  run starts cold.  Its call count is the number of cases it runs.
 
 The inputs are recorded once, before any timing, and are the same for any
 tree that computes the same products, except the ``apply_pas`` layer's: it
@@ -59,6 +61,7 @@ HOPF_CALLS = 800
 VERIFY_FAMILIES = (
     "composition-expansion",
     "convolution-concatenation",
+    "projection-convolution",
     "reduction-invariance",
     "wreath-associativity",
 )

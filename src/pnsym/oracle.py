@@ -17,7 +17,6 @@ A second model (free on primitive degree-1 generators, cocommutative) backs
 the checks that only hold under cocommutativity.
 """
 
-import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -406,27 +405,9 @@ def convolve(model, phi, psi, f):
     ))
 
 
-def apply_convolution_of_projections(model, alpha, f):
-    """The convolution of plain degree projections, from the Sweedler side.
-
-    Built by folding the binary convolution (phi * psi)(x) =
-    m((phi (x) psi)(coproduct x)); deliberately shares nothing with
-    :func:`apply_pas` beyond the coproduct itself.
-    """
-
-    def projection(n):
-        return lambda e: degree_part(e, n)
-
-    def unit_counit(e):
-        c = e.terms.get((), 0)
-        return FreeElement({(): c})
-
-    if not alpha:
-        return unit_counit(f)
-    op = projection(alpha[0])
-    for a in alpha[1:]:
-        op = functools.partial(convolve, model, op, projection(a))
-    return op(f)
+def unit_counit(f):
+    """The unit after the counit: the constant term of ``f``."""
+    return FreeElement({(): f.terms.get((), 0)})
 
 
 def evaluate_pnsym(model, f, x):

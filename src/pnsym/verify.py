@@ -7,16 +7,16 @@ randomness, so reports are byte-identical between runs) and reports how many
 cases were run and how many failed.  A family yields one ``(ok, label)`` pair
 per case; ``label`` is a zero-argument callable, so only the failures kept as
 examples are ever formatted.  A family computes the operands its cases share
-(a key's element and its images of the generators, an operator's values on
-the legs of a coproduct, a reduced key's images, a substituted pair of
-permutations) once per run, in locals of that run, so nothing it computes
-is read by another run.
+once per run: an operator's values are kept through :func:`_remembered`,
+each prefix fold of ``projection-convolution`` is built once, and every
+memo is a local of the run, so nothing it computes outlives the run.
 
 The driver is what ``pnsym verify`` runs.  Families can also be run one at a
 time through :func:`run_family`, which the test suite uses to push individual
 families beyond the default bounds.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,7 +188,7 @@ def _fam_convolution_concatenation(cfg):
     model = oracle.TriangularModel(cfg.model_size)
     probes = _probe_elements(model)
     keys = _mopiscotions_up_to(cfg.max_size)
-    operators = {key: _remembered(model, *key) for key in keys}
+    operators = {key: _remembered(functools.partial(oracle.apply_pas, model, *key)) for key in keys}
     for (a, s), (b, t) in itertools.product(keys, keys):
         glued_alpha = comb.concat(a, b)
         glued_sigma = comb.direct_sum(s, t)
@@ -200,32 +200,39 @@ def _fam_convolution_concatenation(cfg):
             )
 
 
-def _remembered(model, alpha, sigma):
-    """The operator p_(alpha, sigma) on ``model``, keeping each value it
-    returns for as long as the function lives."""
+def _remembered(op):
+    """The operator ``op`` on free elements, keeping each value it returns
+    for as long as the returned function lives."""
     values = {}
 
     def operator(e):
         key = tuple(e.terms.items())
         value = values.get(key)
         if value is None:
-            value = values[key] = oracle.apply_pas(model, alpha, sigma, e)
+            value = values[key] = op(e)
         return value
 
     return operator
 
 
 def _fam_projection_convolution(cfg):
-    """Identity-twist operators agree with convolutions of plain projections."""
+    """Identity-twist operators agree with convolutions of plain projections,
+    folded from the Sweedler side with nothing of ``apply_pas``."""
     model = oracle.TriangularModel(cfg.model_size)
     probes = _probe_elements(model)
+    folds = {(): oracle.unit_counit}  # alpha -> p_alpha_1 * ... * p_alpha_k
     for s in range(cfg.max_size + 1):
         for length in range(cfg.max_size + 2):
             for alpha in comb.weak_compositions(s, length):
+                if alpha:  # alpha[:-1] came earlier: a smaller size or one part fewer
+                    last = _remembered(functools.partial(oracle.degree_part, n=alpha[-1]))
+                    folds[alpha] = last if len(alpha) == 1 else _remembered(
+                        functools.partial(oracle.convolve, model, folds[alpha[:-1]], last)
+                    )
                 sigma = comb.identity(length)
                 for pname, x in probes:
                     lhs = oracle.apply_pas(model, alpha, sigma, x)
-                    rhs = oracle.apply_convolution_of_projections(model, alpha, x)
+                    rhs = folds[alpha](x)
                     yield lhs == rhs, lambda: _case_label(comb.format_composition(alpha), pname)
 
 
@@ -233,15 +240,10 @@ def _fam_reduction_invariance(cfg):
     """A weak key and its reduction give the same operator."""
     model = oracle.TriangularModel(cfg.model_size)
     gens = _generator_elements(model)
-    reduced_images = {}  # reduced key -> its images of the generators
+    # a reduced key's images of the generators
+    images = functools.cache(lambda key: [oracle.apply_pas(model, *key, x) for _, x in gens])
     for alpha, sigma in _weak_pairs_up_to(cfg.max_size, cfg.max_size + 2, max_zeros=2):
-        reduced = comb.reduce_pair(alpha, sigma)
-        images = reduced_images.get(reduced)
-        if images is None:
-            images = reduced_images[reduced] = [
-                oracle.apply_pas(model, *reduced, x) for _, x in gens
-            ]
-        for (gname, x), rhs in zip(gens, images):
+        for (gname, x), rhs in zip(gens, images(comb.reduce_pair(alpha, sigma))):
             lhs = oracle.apply_pas(model, alpha, sigma, x)
             yield lhs == rhs, lambda: _case_label(comb.format_pair(alpha, sigma), gname)
 
@@ -344,7 +346,7 @@ def _fam_shuffle_factorization(cfg):
 def _fam_wreath_associativity(cfg):
     """Substitution of permutations is associative."""
     bound = cfg.max_size + 1
-    outer = {}  # (ups, tau) -> wreath_substitute(ups, tau), for every sigma
+    substituted = functools.cache(comb.wreath_substitute)  # for (ups, tau), every sigma
     for k in range(1, bound + 1):
         for length in range(1, bound + 1):
             for m in range(1, cfg.max_size + 1):
@@ -353,10 +355,7 @@ def _fam_wreath_associativity(cfg):
                         inner = comb.wreath_substitute(tau, sigma)
                         for ups in itertools.permutations(range(1, m + 1)):
                             lhs = comb.wreath_substitute(ups, inner)
-                            ups_tau = outer.get((ups, tau))
-                            if ups_tau is None:
-                                ups_tau = outer[ups, tau] = comb.wreath_substitute(ups, tau)
-                            rhs = comb.wreath_substitute(ups_tau, sigma)
+                            rhs = comb.wreath_substitute(substituted(ups, tau), sigma)
                             yield lhs == rhs, lambda: _case_label(k, length, m, sigma, tau, ups)
 
 

@@ -4,7 +4,8 @@ projection PNSym -> NSym that forgets the twists, with its section.
 The bridge tests check the library's products and coproduct against this.
 The internal product sums over :func:`pnsym.combinatorics.contingency_tables`
 alone and reads none of ``core.internal_mul``'s internals, so the two sides
-of a bridge check share no kernel.
+of a bridge check share no kernel.  Its sums go through its own
+:func:`_summed`, so it reads nothing private of the library.
 
 Imported by ``test_core.py``, ``test_coefficients.py`` and
 ``test_acceptance.py``; not a test module.
@@ -14,10 +15,33 @@ from pnsym import combinatorics as comb
 from pnsym import core
 
 
-class NsymElement(core._Combination):
-    """Rational combination of composition keys ``H_alpha``."""
+def _summed(pairs):
+    """The ``(key, coefficient)`` pairs summed per key, zeros dropped and
+    whole coefficients stored as ``int``."""
+    terms = {}
+    for key, c in pairs:
+        terms[key] = terms.get(key, 0) + c
+    return {key: c.numerator if c.denominator == 1 else c for key, c in terms.items() if c}
 
-    __slots__ = ()
+
+class NsymElement:
+    """Rational combination of composition keys ``H_alpha``, its ``terms``
+    in the form :func:`_summed` leaves them."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    @classmethod
+    def sum(cls, pairs):
+        return cls(_summed(pairs))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __rmul__(self, c):
+        return self.sum((key, c * v) for key, v in self.terms.items())
 
     def __repr__(self):
         if not self.terms:
@@ -68,15 +92,13 @@ def nsym_internal_mul(f, g):
 
 def nsym_coproduct(f):
     """Entrywise splittings with zeros dropped; plain dict of key pairs."""
-    return core._Combination.sum(
+    return _summed(
         ((tuple(x for x in beta if x), tuple(x for x in gamma if x)), c)
         for alpha, c in f.terms.items()
         for beta, gamma in comb.entrywise_splittings(alpha)
-    ).terms
+    )
 
 
 def tensor_to_nsym(t):
     """Apply the NSym projection to both legs of a tensor; plain dict."""
-    return core._Combination.sum(
-        ((a1, a2), c) for ((a1, _), (a2, _)), c in t.terms.items()
-    ).terms
+    return _summed(((a1, a2), c) for ((a1, _), (a2, _)), c in t.terms.items())

@@ -185,7 +185,13 @@ runs = [
     [repr(verify.run_family(name, 3, 2)) for name in verify.FAMILIES]
     for _ in range(2)
 ]
-print(json.dumps({"before": before, "after": sizes(), "runs": runs}))
+cached = [
+    f"{module.__name__}.{name}"
+    for module in (verify, oracle)
+    for name, value in vars(module).items()
+    if hasattr(value, "cache_info")
+]
+print(json.dumps({"before": before, "after": sizes(), "cached": cached, "runs": runs}))
 """
 
 
@@ -200,4 +206,5 @@ def test_verify_keeps_no_state_between_runs():
     state = json.loads(run.stdout)
     first, second = state["runs"]
     assert first == second
+    assert state["cached"] == []
     assert state["after"] == state["before"]
