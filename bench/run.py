@@ -19,7 +19,11 @@ Layers, each timed alone on fixed inputs:
 
 * ``internal_mul`` -- the ``imul`` calls among the first 800 calls of
   perfbench's hopf stream at seed 1, and the products that build the
-  composition powers of k(1,5);
+  composition powers of k(1,5), replayed without the bracket's memo, so
+  that each power is computed from scratch;
+* ``k_value`` -- ``checker.k_value`` on (1,5) and (2,4) with ktable's
+  default bound of 12, in process: the powers with the memo their call
+  builds;
 * ``contingency_tables`` -- every (row sums, column sums) call those
   ``internal_mul`` calls make, in their order, each stream read to its end;
 * ``external_mul``, ``coproduct`` and ``antipode`` -- the ``mul``,
@@ -99,12 +103,14 @@ def acceptance(src):
 
 @contextlib.contextmanager
 def recording(module, name, calls):
-    """Append the arguments of every call to ``module.name`` to ``calls``."""
+    """Append the positional arguments of every call to ``module.name`` to
+    ``calls``; keyword arguments, such as ``internal_mul``'s memo, are passed
+    on but not recorded."""
     fn = getattr(module, name)
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     setattr(module, name, recorded)
     try:
@@ -175,6 +181,10 @@ def layer_runs(checker, comb, core, oracle, verify):
         "contingency_tables k15": (drain_tables(comb, tables["k15"]), len(tables["k15"])),
         "internal_mul hopf": (replay(core.internal_mul, hopf["imul"]), len(hopf["imul"])),
         "internal_mul k15": (replay(core.internal_mul, k15_imul), len(k15_imul)),
+        **{
+            f"k_value {i} {j}": (lambda i=i, j=j: checker.k_value(i, j, 12), 1)
+            for i, j in KTABLE[:2]
+        },
         "external_mul hopf": (replay(core.external_mul, hopf["mul"]), len(hopf["mul"])),
         "coproduct hopf": (replay(core.coproduct, hopf["coproduct"]), len(hopf["coproduct"])),
         "antipode hopf": (replay(core.antipode, hopf["antipode"]), len(hopf["antipode"])),

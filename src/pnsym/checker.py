@@ -365,10 +365,13 @@ def _comp_power(base, exponent):
 
     Stops as soon as one more product leaves the power unchanged: each step
     multiplies by the same base, so from then on the power stays the same.
+    Every step reads one memo of ``base`` (:class:`pnsym.core.Rows`), so each
+    key's product with it is computed once for the whole power.
     """
     power = base
+    rows = core.Rows(base)
     for _ in range(exponent - 1):
-        following = core.internal_mul(power, base)
+        following = core.internal_mul(power, base, rows=rows)
         if following == power:
             break
         power = following
@@ -463,7 +466,9 @@ def k_value(i, j, k_max):
 
     Returns the least k such that the k-th composition power of
     F((i,j);id) - F((j,i);id) vanishes, or None when no such k <= k_max
-    exists.
+    exists.  Every power reads one memo of the bracket
+    (:class:`pnsym.core.Rows`), so each key's product with it is computed
+    once per call.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
@@ -471,9 +476,10 @@ def k_value(i, j, k_max):
         1, ((j, i), (1, 2))
     )
     power = bracket
+    rows = core.Rows(bracket)
     for k in range(1, k_max + 1):
         if not power:
             return k
         if k < k_max:
-            power = core.internal_mul(power, bracket)
+            power = core.internal_mul(power, bracket, rows=rows)
     return None

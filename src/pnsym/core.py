@@ -12,7 +12,9 @@ coefficient equality.  Three products/coproducts live here:
 
 The antipode and the coproduct read one splitting kernel,
 :func:`_key_coproduct`.  ``internal_mul``, ``coproduct`` and ``antipode``
-sum ints and divide once per call (:func:`_cleared`); memos last one call.
+sum ints and divide once per call (:func:`_cleared`).  Every memo lasts one
+call, except :class:`Rows`: a right factor's memo that its caller owns and
+passes to ``internal_mul`` for one ``k_value`` call or one composition power.
 """
 
 import itertools
@@ -134,7 +136,7 @@ def external_mul(f, g):
     )
 
 
-def internal_mul(f, g):
+def internal_mul(f, g, *, rows=None):
     """Bilinear extension of the contingency-table product.
 
     F(a;s) * F(b;t) sums F(flatten(T); tau-of-T) over all tables T with row
@@ -142,39 +144,118 @@ def internal_mul(f, g):
     substitution permutation of t into s, then reduced.  Keys of unequal
     degree contribute nothing.
 
+    Without ``rows`` every memo lasts this call: each key of ``f`` meets
+    ``g`` once, in :func:`_key_product`, through one ``shapes`` cache.
+    ``rows`` is a caller-owned :class:`Rows` memo built from ``g``: the
+    product is then the sum of the rows of ``f``'s keys, each computed once
+    for the life of the memo, and a memo built from another right factor
+    raises ``ValueError``.  Both paths give the same terms, with the same
+    int/``Fraction`` types.
+    """
+    if rows is not None:
+        return rows.product(f, g)
+    shapes = {}
+    f_terms, f_den = _cleared(f)
+    g_terms, g_den = _cleared(g)
+    g_by_degree = _by_degree(g_terms)
+    terms = {}
+    for key, c in f_terms.items():
+        _key_product(key, c, g_by_degree, shapes, terms)
+    return PnsymElement.over(terms, f_den * g_den)
+
+
+def _by_degree(g_terms):
+    """The right factor's ``(b, inverse(t), d)`` terms, listed by degree."""
+    g_by_degree = {}
+    for (b, t), d in g_terms.items():
+        g_by_degree.setdefault(sum(b), []).append((b, comb.inverse(t), d))
+    return g_by_degree
+
+
+def _key_product(key, c, g_by_degree, shapes, terms):
+    """Add ``c`` F(a;s) times the right factor ``g_by_degree`` into ``terms``.
+
     The tables and their zero-drops depend only on (a, b), so each shape is
-    enumerated once per call (:func:`_table_groups`).  The twist's inverse
-    is built directly, from each key's inverse taken once per call.  Each
+    enumerated once per ``shapes`` cache (:func:`_table_groups`).  The
+    twist's inverse is built directly, from the inverses of s and t.  Each
     group of tables with the same nonzero cells takes as its permutation
     the twist standardized on those cells, from one walk of the inverse:
     the kept cells are ranked 1, 2, ... in the order the inverse visits
     them, each found through the group's slot array, so nothing is sorted.
     """
-    shapes = {}
-    f_terms, f_den = _cleared(f)
-    g_terms, g_den = _cleared(g)
-    g_by_degree = {}
-    for (b, t), d in g_terms.items():
-        g_by_degree.setdefault(sum(b), []).append((b, comb.inverse(t), d))
-    terms = {}
-    for (a, s), c in f_terms.items():
-        inv_s = comb.inverse(s)
-        for b, inv_t, d in g_by_degree.get(sum(a), ()):
-            cd = c * d
-            inv = comb.wreath_substitute(inv_s, inv_t)
-            for kept, slot, alphas in _table_groups(a, b, shapes):
-                ranks = [0] * len(kept)
-                r = 0
-                for p in inv:
-                    j = slot[p]
-                    if j is not None:
-                        r += 1
-                        ranks[j] = r
-                sigma = tuple(ranks)
-                for alpha in alphas:
-                    key = (alpha, sigma)
-                    terms[key] = terms.get(key, 0) + cd
-    return PnsymElement.over(terms, f_den * g_den)
+    a, s = key
+    inv_s = comb.inverse(s)
+    for b, inv_t, d in g_by_degree.get(sum(a), ()):
+        cd = c * d
+        inv = comb.wreath_substitute(inv_s, inv_t)
+        for kept, slot, alphas in _table_groups(a, b, shapes):
+            ranks = [0] * len(kept)
+            r = 0
+            for p in inv:
+                j = slot[p]
+                if j is not None:
+                    r += 1
+                    ranks[j] = r
+            sigma = tuple(ranks)
+            for alpha in alphas:
+                out = (alpha, sigma)
+                terms[out] = terms.get(out, 0) + cd
+
+
+class Rows:
+    """A right factor's memo for :func:`internal_mul`, owned by its caller.
+
+    It lasts as long as the caller keeps it: one ``k_value`` call or one
+    composition power.  It holds one ``shapes`` cache, each output key
+    interned to an int index, and each left key's row -- its product with
+    ``g`` -- as two flat tuples: the indices and the int coefficients.
+    """
+
+    __slots__ = ("g", "den", "g_by_degree", "shapes", "index", "keys", "rows")
+
+    def __init__(self, g):
+        self.g = g
+        g_terms, self.den = _cleared(g)
+        self.g_by_degree = _by_degree(g_terms)
+        self.shapes = {}
+        self.index = {}
+        self.keys = []
+        self.rows = {}
+
+    def product(self, f, g):
+        """``internal_mul(f, g)``: the rows of ``f``'s keys times their int
+        coefficients, summed over the int indices, then mapped back to keys
+        and divided once."""
+        if g is not self.g and g != self.g:
+            raise ValueError("the memo was built from another right factor")
+        f_terms, f_den = _cleared(f)
+        rows = self.rows
+        for key in f_terms:
+            if key not in rows:
+                rows[key] = self._row(key)
+        summed = [0] * len(self.keys)
+        for key, c in f_terms.items():
+            indices, coeffs = rows[key]
+            for i, d in zip(indices, coeffs):
+                summed[i] += c * d
+        keys = self.keys
+        return PnsymElement.over(
+            {keys[i]: c for i, c in enumerate(summed) if c}, f_den * self.den
+        )
+
+    def _row(self, key):
+        """F(key) times ``g``, as (indices, coefficients)."""
+        terms = {}
+        _key_product(key, 1, self.g_by_degree, self.shapes, terms)
+        index, keys = self.index, self.keys
+        indices = []
+        for out in terms:
+            i = index.get(out)
+            if i is None:
+                i = index[out] = len(keys)
+                keys.append(out)
+            indices.append(i)
+        return tuple(indices), tuple(terms.values())
 
 
 def _cleared(f):

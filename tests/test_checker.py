@@ -364,12 +364,17 @@ def test_k_value_frozen_entries():
     ],
 )
 def test_bracket_powers_support_sizes(i, j, sizes):
-    # support size of each successive power of F((i,j);[1,2]) - F((j,i);[1,2])
+    # support size of each successive power of F((i,j);[1,2]) - F((j,i);[1,2]);
+    # the powers read through one memo of the bracket, as k_value's do, equal
+    # the plain ones key by key
     bracket = F((i, j), (1, 2)) - F((j, i), (1, 2))
-    power = bracket
+    rows = core.Rows(bracket)
+    power = memo_power = bracket
     got = [len(power.terms)]
     for _ in sizes[1:]:
         power = core.internal_mul(power, bracket)
+        memo_power = core.internal_mul(memo_power, bracket, rows=rows)
+        assert memo_power.terms == power.terms
         got.append(len(power.terms))
     assert got == sizes
     assert k_value(i, j, len(sizes)) == len(sizes)

@@ -309,6 +309,41 @@ def test_the_reference_bracket_power_cancels():
     assert not _reference_internal_mul(power, BRACKET)
 
 
+# a right factor's memo ----------------------------------------------------------
+
+def _typed(f):
+    return {key: (type(c), c) for key, c in f.terms.items()}
+
+
+@given(elements(max_size=4, max_terms=4), st.lists(elements(max_size=4, max_terms=4), max_size=4))
+# fractions on both sides, and a later left factor that shares a key with an
+# earlier one, so that it reads a row the memo already holds
+@example(
+    Fraction(1, 2) * F((1, 1), (2, 1)) + F((2,), (1,)) - Fraction(2, 3) * F((1, 1), (1, 2)),
+    [Fraction(3, 4) * F((1, 1), (1, 2)), F((1, 1), (1, 2)) + Fraction(1, 3) * F((2,), (1,))],
+)
+@settings(max_examples=60, deadline=None)
+def test_one_memo_gives_every_plain_product(g, fs):
+    rows = core.Rows(g)
+    for f in fs + [g, g]:
+        assert _typed(core.internal_mul(f, g, rows=rows)) == _typed(core.internal_mul(f, g))
+
+
+def test_a_memo_serves_only_its_right_factor():
+    rows = core.Rows(BRACKET)
+    square = core.internal_mul(BRACKET, BRACKET)
+    assert core.internal_mul(BRACKET, BRACKET, rows=rows) == square
+    # an equal right factor is the same factor
+    assert core.internal_mul(BRACKET, BRACKET + ZERO, rows=rows) == square
+    with pytest.raises(ValueError):
+        core.internal_mul(BRACKET, 2 * BRACKET, rows=rows)
+    with pytest.raises(ValueError):
+        core.internal_mul(BRACKET, F((1, 2), (1, 2)), rows=rows)
+    # the memo is keyword-only, so that a caller's positional arguments stay (f, g)
+    with pytest.raises(TypeError):
+        core.internal_mul(BRACKET, BRACKET, rows)
+
+
 # coproduct, counit, grading ---------------------------------------------------
 
 def test_coproduct_frozen():
@@ -507,19 +542,36 @@ def test_basis_keys_sorted_canonically():
 _STATE_PROBE = """
 import json, random
 from fractions import Fraction
-from pnsym import combinatorics as comb, core
+from pnsym import checker, combinatorics as comb, core
+
+MODULES = (core, comb, checker)
+
+def bound(module):
+    # the module's names, and the attributes of the classes it defines
+    for name, value in vars(module).items():
+        yield name, value
+        if isinstance(value, type) and value.__module__ == module.__name__:
+            for attr, v in vars(value).items():
+                if not attr.startswith("__"):
+                    yield f"{name}.{attr}", v
 
 def sizes():
-    # every dict, list and set bound at module level or as a function default
+    # every dict, list and set bound at module level, as a class attribute or
+    # as a function default
     out = {}
-    for module in (core, comb):
-        for name, value in vars(module).items():
+    for module in MODULES:
+        for name, value in bound(module):
             if isinstance(value, (dict, list, set)) and not name.startswith("__"):
                 out[f"{module.__name__}.{name}"] = len(value)
             for i, default in enumerate(getattr(value, "__defaults__", None) or ()):
                 if isinstance(default, (dict, list, set)):
                     out[f"{module.__name__}.{name} default {i}"] = len(default)
     return out
+
+def checks():
+    # a k_value call and a composition power, each with its own memo
+    assert checker.k_value(1, 5, 12) == 11
+    assert checker.check_zero_on_degree("(p1*p2 - p2*p1)^9", 4).holds
 
 before = sizes()
 rng = random.Random(20261019)
@@ -536,13 +588,16 @@ for _ in range(30):
     core.internal_mul(f, g)
     core.coproduct(f)
     core.antipode(g)
+checks()
+once = sizes()
+checks()
 cached = [
     f"{module.__name__}.{name}"
-    for module in (core, comb)
-    for name, value in vars(module).items()
+    for module in MODULES
+    for name, value in bound(module)
     if hasattr(value, "cache_info")
 ]
-print(json.dumps({"before": before, "after": sizes(), "cached": cached}))
+print(json.dumps({"before": before, "once": once, "after": sizes(), "cached": cached}))
 """
 
 
@@ -554,6 +609,7 @@ def test_core_keeps_no_state_between_calls():
     )
     state = json.loads(run.stdout)
     assert state["cached"] == []
+    assert state["once"] == state["before"]
     assert state["after"] == state["before"]
 
 
