@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from pnsym import combinatorics as comb
-from pnsym import oracle, verify
+from pnsym import core, oracle, verify
 
 
 def test_every_family_runs_cases_and_none_fail_at_small_bounds():
@@ -162,6 +162,20 @@ def test_a_wrong_convolution_fails_both_convolution_families(monkeypatch):
             "((1);[1]) ((2);[1]) x(1,2)x(1,3)",
         )),
     ]
+
+
+def test_a_reversed_internal_product_fails_composition_expansion(monkeypatch):
+    # F(b;t) * F(a;s) in place of F(a;s) * F(b;t): the expansion of the
+    # composite taken in the wrong order, which a size-4 model tells apart
+    internal_mul = core.internal_mul
+    monkeypatch.setattr(core, "internal_mul", lambda f, g: internal_mul(g, f))
+    result = verify.run_family("composition-expansion", model_size=4, max_size=3)
+    assert (result.cases, result.failures) == (15660, 52)
+    assert result.examples == (
+        "((1,2);[1,2]) ((1,2);[2,1]) (1,4)",
+        "((1,2);[1,2]) ((2,1);[1,2]) (1,4)",
+        "((1,2);[1,2]) ((2,1);[2,1]) (1,4)",
+    )
 
 
 _STATE_PROBE = """
