@@ -164,21 +164,32 @@ def _fam_composition_expansion(cfg):
     strict = _mopiscotions_up_to(cfg.max_size)
     # weak keys go through from_weak_term (reduction on ingest)
     weak = _weak_pairs_up_to(max(cfg.max_size - 1, 0), cfg.max_size)
+    # per pair of reduced keys: the generators' images under the operator of
+    # their internal product, the right side of every case the pair names
+    expansions = {}
+
+    def expansion_images(f, g):
+        pair = (*f.terms, *g.terms)
+        images = expansions.get(pair)
+        if images is None:
+            expansion = core.internal_mul(f, g)
+            images = expansions[pair] = [oracle.evaluate_pnsym(model, expansion, x) for _, x in gens]
+        return images
+
     for keys in (strict, weak):
-        # per key: its element, and its images of the generators, the inner
-        # operand of every case where it acts second
+        # per key: its operator, its element, and its images of the
+        # generators, the inner operand of every case where it acts second
+        operators = {key: _remembered(functools.partial(oracle.apply_pas, model, *key)) for key in keys}
         operands = [
-            (key, core.from_weak_term(1, key), [oracle.apply_pas(model, *key, x) for _, x in gens])
+            (key, core.from_weak_term(1, key), [operators[key](x) for _, x in gens])
             for key in keys
         ]
         for ((a, s), f, _), ((b, t), g, inner) in itertools.product(operands, operands):
             if sum(a) != sum(b):
                 continue
-            expansion = core.internal_mul(f, g)
-            for (gname, x), y in zip(gens, inner):
-                lhs = oracle.apply_pas(model, a, s, y)
-                rhs = oracle.evaluate_pnsym(model, expansion, x)
-                yield lhs == rhs, lambda: _case_label(
+            outer = operators[a, s]
+            for (gname, _), y, rhs in zip(gens, inner, expansion_images(f, g)):
+                yield outer(y) == rhs, lambda: _case_label(
                     comb.format_pair(a, s), comb.format_pair(b, t), gname
                 )
 
