@@ -91,7 +91,12 @@ def _cmd_verify(args):
         names=args.family or None,
     )
     ok = all(r.ok for r in results)
-    families = [{"name": r.name, "cases": r.cases, "failures": r.failures} for r in results]
+    families = []
+    for r in results:
+        family = {"name": r.name, "cases": r.cases, "failures": r.failures}
+        if r.failures:
+            family["examples"] = list(r.examples)
+        families.append(family)
     return (0 if ok else 1), verify.format_report(results), {"families": families, "ok": ok}
 
 

@@ -8,7 +8,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnsym import cli
+from pnsym import cli, oracle
 
 
 def run(capsys, *argv):
@@ -255,6 +255,37 @@ def test_verify_json(capsys):
     assert json.loads(out) == {
         "families": [{"name": "degree-projection", "cases": 20, "failures": 0}],
         "ok": True,
+    }
+
+
+def test_verify_json_names_the_failing_cases(capsys, monkeypatch):
+    # a family with failures keeps the labels of its first three in the JSON
+    monkeypatch.setattr(oracle, "evaluate_pnsym", lambda *args: oracle.FreeElement({}))
+    code, out, _ = run(
+        capsys,
+        "verify",
+        "--model-size", "3",
+        "--max-size", "2",
+        "--family", "composition-expansion",
+        "--family", "degree-projection",
+        "--json",
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "families": [
+            {
+                "name": "composition-expansion",
+                "cases": 156,
+                "failures": 61,
+                "examples": [
+                    "((1);[1]) ((1);[1]) (1,2)",
+                    "((1);[1]) ((1);[1]) (2,3)",
+                    "((2);[1]) ((2);[1]) (1,3)",
+                ],
+            },
+            {"name": "degree-projection", "cases": 20, "failures": 0},
+        ],
+        "ok": False,
     }
 
 
