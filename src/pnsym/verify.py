@@ -8,8 +8,10 @@ cases were run and how many failed.  A family yields one ``(ok, label)`` pair
 per case; ``label`` is a zero-argument callable, so only the failures kept as
 examples are ever formatted.  A family computes the operands its cases share
 once per run: an operator's values are kept through :func:`_remembered`,
-each prefix fold of ``projection-convolution`` is built once, and every
-memo is a local of the run, so nothing it computes outlives the run.
+each prefix fold of ``projection-convolution`` is built once,
+``composition-expansion`` computes the internal product of each pair of
+reduced keys, and its images of the generators, once, and every memo is a
+local of the run, so nothing it computes outlives the run.
 
 The driver is what ``pnsym verify`` runs.  Families can also be run one at a
 time through :func:`run_family`, which the test suite uses to push individual
