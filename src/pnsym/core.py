@@ -11,10 +11,15 @@ coefficient equality.  Three products/coproducts live here:
 * :func:`coproduct` -- entrywise decompositions of the composition.
 
 The antipode and the coproduct read one splitting kernel,
-:func:`_key_coproduct`.  ``internal_mul``, ``coproduct`` and ``antipode``
-sum ints and divide once per call (:func:`_cleared`).  Every memo lasts one
-call, except :class:`Rows`: a right factor's memo that its caller owns and
-passes to ``internal_mul`` for one ``k_value`` call or one composition power.
+:func:`_key_coproduct`.  The antipode runs it only on keys that are not
+external products: it is an anti-homomorphism, so a key that splits into
+direct-sum blocks gets the product of its blocks' antipodes in reverse
+order, through :func:`_add_product`, the kernel of ``external_mul``.  The
+products, the coproduct and the antipode sum ints and divide once per call
+(:func:`_cleared`); :meth:`_Combination.over` builds the final int or
+``Fraction`` coefficients in that one pass.  Every memo lasts one call,
+except :class:`Rows`: a right factor's memo that its caller owns and passes
+to ``internal_mul`` for one ``k_value`` call or one composition power.
 """
 
 import itertools
@@ -64,11 +69,23 @@ class _Combination:
 
     @classmethod
     def over(cls, terms, den):
-        """The combination of ``terms`` divided by ``den``: the int sums of a
-        kernel that cleared its inputs' denominators (:func:`_cleared`)."""
+        """The combination of the int sums ``terms`` of a kernel that cleared
+        its inputs' denominators (:func:`_cleared`), divided by ``den``.
+
+        One pass drops the zero sums and stores ``c // den`` when ``den``
+        divides ``c`` and ``Fraction(c, den)`` otherwise, so ``__init__``'s
+        normalizing pass is skipped.
+        """
+        out = cls.__new__(cls)
         if den == 1:
-            return cls(terms)
-        return cls({key: Fraction(c, den) for key, c in terms.items()})
+            out.terms = {key: c for key, c in terms.items() if c}
+        else:
+            out.terms = {
+                key: c // den if c % den == 0 else Fraction(c, den)
+                for key, c in terms.items()
+                if c
+            }
+        return out
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
@@ -128,12 +145,13 @@ def basis(alpha, sigma):
 
 
 def external_mul(f, g):
-    """Bilinear extension of F(a;s) . F(b;t) = F(ab; s (+) t)."""
-    return PnsymElement.sum(
-        ((comb.concat(a, b), comb.direct_sum(s, t)), c * d)
-        for (a, s), c in f.terms.items()
-        for (b, t), d in g.terms.items()
-    )
+    """Bilinear extension of F(a;s) . F(b;t) = F(ab; s (+) t), on the int
+    sums of :func:`_add_product`."""
+    f_terms, f_den = _cleared(f)
+    g_terms, g_den = _cleared(g)
+    terms = {}
+    _add_product(terms, f_terms, g_terms, {})
+    return PnsymElement.over(terms, f_den * g_den)
 
 
 def internal_mul(f, g, *, rows=None):
@@ -373,8 +391,11 @@ def antipode(f):
     S(F-empty) = F-empty and, for a key x of positive degree,
     S(x) = -x - sum S(x') x'' over the proper part of the coproduct (both
     legs of positive degree).  The proper legs have strictly smaller degree,
-    so the recursion terminates; a per-call memo keeps it polynomial.  Each
-    S(x) has int coefficients, so ``f``'s denominators are cleared first.
+    so the recursion terminates; a per-call memo keeps it polynomial.  Only
+    keys that are not external products run it: the rest are products of
+    their direct-sum blocks, whose antipodes multiply in reverse order
+    (:func:`_antipode_key`).  Each S(x) has int coefficients, so ``f``'s
+    denominators are cleared first.
     """
     terms, den = _cleared(f)
     memo = {EMPTY_KEY: {EMPTY_KEY: 1}}
@@ -387,26 +408,62 @@ def antipode(f):
 
 
 def _antipode_key(key, memo, shifts):
-    """S(key) as a dict, memoized in ``memo``: for each proper splitting
-    pair (x', F(b;t)) of key, met c times, each term d F(a;s) of S(x') adds
-    -c d at (a + b, s (+) t).  ``shifts`` keeps t + len(s), the right half
-    of s (+) t, per (t, len(s))."""
+    """S(key) as a dict, memoized in ``memo``.
+
+    The external product direct-sums the permutations, so a key with a head
+    block (:func:`_head_length`) is the product of that block and the rest,
+    and S, an anti-homomorphism, gives S(key) = S(rest) S(head): each factor
+    from the memo, multiplied as dicts.  The head is indecomposable.  An
+    indecomposable key x runs the recursion S(x) = -x - sum S(x') x'' over
+    the proper splitting pairs (x', x'') of x, the right legs of each left
+    leg x' summed first.
+    """
     if key in memo:
         return memo[key]
-    pairs = {}
-    for pair in _key_coproduct(*key):
-        if pair[0][0] and pair[1][0]:  # proper part only
-            pairs[pair] = pairs.get(pair, 0) + 1
-    terms = {key: -1}
-    for (left, (b, t)), c in pairs.items():
-        for (a, s), d in _antipode_key(left, memo, shifts).items():
-            shifted = shifts.get((t, len(s)))
-            if shifted is None:
-                shifted = shifts[t, len(s)] = tuple(x + len(s) for x in t)
-            k2 = (a + b, s + shifted)
-            terms[k2] = terms.get(k2, 0) - c * d
+    alpha, sigma = key
+    i = _head_length(sigma)
+    if i:
+        head = _antipode_key((alpha[:i], sigma[:i]), memo, shifts)
+        rest = _antipode_key((alpha[i:], tuple(x - i for x in sigma[i:])), memo, shifts)
+        terms = {}
+        _add_product(terms, rest, head, shifts)
+    else:
+        rights = {}  # per proper left leg x', minus the sum of its right legs
+        for left, right in _key_coproduct(alpha, sigma):
+            if left[0] and right[0]:  # proper part only
+                after = rights.setdefault(left, {})
+                after[right] = after.get(right, 0) - 1
+        terms = {key: -1}
+        for left, after in rights.items():
+            _add_product(terms, _antipode_key(left, memo, shifts), after, shifts)
     result = memo[key] = {k2: d for k2, d in terms.items() if d}
     return result
+
+
+def _head_length(sigma):
+    """The least i with 0 < i < len(sigma) such that sigma maps its first i
+    positions onto 1..i, or 0 when there is none (sigma is indecomposable)."""
+    top = 0
+    for i, v in enumerate(sigma[:-1], 1):
+        if v > top:
+            top = v
+        if top == i:
+            return i
+    return 0
+
+
+def _add_product(terms, f, g, shifts):
+    """Add the external product of the term dicts ``f`` and ``g`` into
+    ``terms``: the one kernel of :func:`external_mul` and the antipode.
+    ``shifts`` keeps t + len(s), the right half of s (+) t, per (t, len(s))."""
+    for (a, s), c in f.items():
+        n = len(s)
+        for (b, t), d in g.items():
+            shifted = shifts.get((t, n))
+            if shifted is None:
+                shifted = shifts[t, n] = tuple(x + n for x in t)
+            k2 = (a + b, s + shifted)
+            terms[k2] = terms.get(k2, 0) + c * d
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pnsym import checker, core, oracle
 from pnsym import combinatorics as comb
@@ -94,6 +94,42 @@ def test_antipode_sums_fractions_to_ints_and_zeros():
     _whole_and_dropped(
         core.antipode(HALF * y), core.antipode(HALF * x - QUARTER * y), X12
     )
+
+
+def _over_matches_dividing_each_sum(cls, sums, den):
+    got = cls.over(sums, den)
+    want = cls({key: Fraction(c, den) for key, c in sums.items()})
+    assert got == want
+    assert [(key, type(c)) for key, c in got.terms.items()] == [
+        (key, type(c)) for key, c in want.terms.items()
+    ]
+    assert canonical(got.terms)
+
+
+# int sums as the kernels pass them, zero sums included
+SUMS = st.integers(-12, 12)
+DENS = st.sampled_from([1, 2, 3, 4, 6])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(KEYS), SUMS, max_size=5), DENS)
+@example({X2: 0, X12: 3, X21: -4}, 1)
+@example({X2: 0, X12: 3, X21: -4}, 2)
+@example({X2: 0}, 3)
+def test_element_over_matches_dividing_each_sum(sums, den):
+    _over_matches_dividing_each_sum(core.PnsymElement, sums, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.sampled_from(KEYS), st.sampled_from(KEYS)), SUMS, max_size=5),
+    DENS,
+)
+@example({(X2, X12): 0, (X12, X2): 6, (X21, X21): -1}, 1)
+@example({(X2, X12): 0, (X12, X2): 6, (X21, X21): -1}, 4)
+@example({(X2, X2): 0}, 2)
+def test_tensor_over_matches_dividing_each_sum(sums, den):
+    _over_matches_dividing_each_sum(core.PnsymTensor, sums, den)
 
 
 @given(st.lists(

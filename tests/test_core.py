@@ -487,20 +487,48 @@ def test_antipode_is_linear(f):
     assert lhs == rhs
 
 
-def test_antipode_matches_reference_on_keys_in_order():
-    # one antipode call per key: each starts from an empty memo
-    for key in keys_up_to(5):
-        f = core.basis(*key)
-        got, want = core.antipode(f), hopf_reference.antipode(f)
-        assert list(got.terms.items()) == list(want.terms.items())
+def _same_terms(got, want):
+    # the same keys and coefficients, each of the same type; the order of
+    # the terms is not compared, since a decomposable key's antipode is
+    # built as a product of its blocks' and not in the recursion's order
+    assert got.terms == want.terms
+    assert [type(c) for c in got.terms.values()] == [
+        type(want.terms[key]) for key in got.terms
+    ]
+
+
+def test_antipode_matches_reference_on_keys():
+    # every key of degree <= 6, decomposable or not, one antipode call per
+    # key: each starts from an empty memo.  The reference shares one memo.
+    memo = {}
+    decomposable = 0
+    for key in keys_up_to(6):
+        got = core.antipode(core.basis(*key))
+        _same_terms(got, hopf_reference._antipode_key(key, memo))
         assert canonical(got.terms)
+        sigma = key[1]
+        decomposable += any(max(sigma[:i]) == i for i in range(1, len(sigma)))
+    assert decomposable == 793  # of the 1957 keys
 
 
 @given(elements(max_size=4, max_terms=4))
 @settings(max_examples=40, deadline=None)
-def test_antipode_matches_reference_on_mixtures_in_order(f):
-    got, want = core.antipode(f), hopf_reference.antipode(f)
-    assert list(got.terms.items()) == list(want.terms.items())
+def test_antipode_matches_reference_on_mixtures(f):
+    _same_terms(core.antipode(f), hopf_reference.antipode(f))
+
+
+@given(elements(), elements())
+@example(
+    Fraction(1, 2) * F((2, 1), (2, 1)) + Fraction(-2, 3) * F((1,), (1,)),
+    Fraction(3, 4) * F((1, 1), (1, 2)) + Fraction(1, 4) * F((1, 2), (2, 1)),
+)
+@settings(max_examples=40, deadline=None)
+def test_antipode_reverses_products(f, g):
+    # S is an anti-homomorphism of the external product
+    lhs = core.antipode(core.external_mul(f, g))
+    rhs = core.external_mul(core.antipode(g), core.antipode(f))
+    assert lhs == rhs
+    assert canonical(lhs.terms)
 
 
 # rank and enumeration -----------------------------------------------------------
