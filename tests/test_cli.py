@@ -6,7 +6,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pnsym import cli, oracle
 
@@ -298,6 +298,21 @@ def test_verify_on_a_model_without_generators(capsys):
     assert out.endswith("total: 108 cases, 0 failures\n")
 
 
+def test_verify_bounds_the_model_size(capsys):
+    # the bound is checked before any model is built
+    code, out, err = run(
+        capsys, "verify", "--model-size", str(cli.MAX_MODEL_SIZE + 1), "--max-size", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --model-size must be at most {cli.MAX_MODEL_SIZE}\n"
+    code, out, err = run(
+        capsys, "verify", "--model-size", str(cli.MAX_MODEL_SIZE), "--max-size", "0",
+        "--family", "degree-projection",
+    )
+    assert code == 0 and err == ""
+
+
 def test_verify_rejects_unknown_family(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--family", "no-such-family"])
@@ -389,6 +404,7 @@ def argvs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(argvs())
+@example(["verify", "--model-size", "99999999999", "--max-size", "1"])
 def test_every_run_keeps_the_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
