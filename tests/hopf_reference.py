@@ -1,6 +1,7 @@
 """Maps the Hopf-axiom tests compare the library against, built from their
-definitions.  The coproduct does not read ``core``'s splitting kernel, so
-neither does the antipode built on it; the rest uses the public products.
+definitions.  The coproduct does not read ``core``'s splitting kernel, and
+the antipode built on it neither reads that kernel nor ``core``'s external
+product; the rest uses the public products.
 
 Imported by ``test_core.py`` and ``test_acceptance.py``; not a test module.
 """
@@ -71,8 +72,9 @@ def convolve_maps(phi, psi, f):
 
 def antipode(f):
     """The antipode by the connected-graded recursion on :func:`coproduct`,
-    each proper term built as an ``external_mul`` element and the terms
-    summed by ``PnsymElement.sum``.
+    each proper term's external product built from ``comb.concat`` and
+    ``comb.direct_sum``, not ``core``'s kernel, and the terms summed by
+    ``PnsymElement.sum``.
 
     S(x) = -x - sum S(x') x'' over the coproduct terms of x with both legs
     of positive degree.  Terms come in the order the recursion meets them.
@@ -91,11 +93,13 @@ def _antipode_key(key, memo):
     if key in memo:
         return memo[key]
     acc = [(key, -1)]
-    for (left, right), c in coproduct(_key(key)).terms.items():
-        if core.EMPTY_KEY in (left, right):
+    for ((a, s), (b, t)), c in coproduct(_key(key)).terms.items():
+        if not a or not b:
             continue  # proper part only
-        prod = core.external_mul(_antipode_key(left, memo), core.PnsymElement({right: c}))
-        acc.extend((k2, -d) for k2, d in prod.terms.items())
+        acc.extend(
+            ((comb.concat(a2, b), comb.direct_sum(s2, t)), -c * d)
+            for (a2, s2), d in _antipode_key((a, s), memo).terms.items()
+        )
     result = core.PnsymElement.sum(acc)
     memo[key] = result
     return result
