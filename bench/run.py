@@ -30,7 +30,8 @@ Layers, each timed alone on fixed inputs:
   ``coproduct`` and ``antipode`` calls of the same hopf stream;
 * ``apply_pas`` -- every ``oracle.apply_pas`` call of the default
   ``composition-expansion`` verify family, in its order, on a fresh model
-  for each run, so that no run reads the images another run memoized;
+  for each run, so that no run reads the letter splittings or the word
+  coproducts another run memoized;
 * ``verify`` -- ``verify.run_family`` at the default bounds for each family
   in ``VERIFY_FAMILIES`` below (``composition-expansion``,
   ``convolution-concatenation``, ``projection-convolution``,
@@ -138,7 +139,8 @@ def drain_tables(comb, inputs):
 
 def replay_on_fresh_model(oracle, inputs):
     """A run that makes every recorded ``apply_pas`` call on a new model of
-    the recorded size."""
+    the recorded size, so that each run starts with empty splitting and
+    coproduct memos."""
     size = inputs[0][0].n
 
     def run():

@@ -141,11 +141,11 @@ def tensor_of_elements(*elements_):
 
 
 class _FreeModel:
-    """What both free models share: memos that live and die with the
+    """What both free models share: the structural memos, each letter's
+    splittings and each word's coproducts, that live and die with the
     instance, so no value computed on one model is read on another."""
 
     def __init__(self):
-        self._images = {}  # (alpha, sigma, word) -> ((output word, multiplicity), ...)
         self._coproducts = {}  # (k, word) -> ((legs, multiplicity), ...), its k-fold coproduct
         self._splits = {}  # (letter, k) -> its k-leg splittings, see letter_splits
 
@@ -285,21 +285,14 @@ def delta_power(model, k, f):
     identity.  Each word's k-fold coproduct is computed once per model and
     kept there.
     """
-    return FreeTensor(k, _summed(
-        (legs, c * mult)
-        for word, c in f.terms.items()
-        for legs, mult in _word_spread(model, k, word)
-    ))
-
-
-def _word_spread(model, k, word):
-    """The ``(legs, multiplicity)`` pairs of the k-fold coproduct of one
-    word, read from the model's memo."""
-    key = (k, word)
-    found = model._coproducts.get(key)
-    if found is None:
-        found = model._coproducts[key] = tuple(_word_delta(model, k, word).items())
-    return found
+    terms = {}
+    for word, c in f.terms.items():
+        spread = model._coproducts.get((k, word))
+        if spread is None:
+            spread = model._coproducts[k, word] = tuple(_word_delta(model, k, word).items())
+        for legs, mult in spread:
+            terms[legs] = terms.get(legs, 0) + c * mult
+    return FreeTensor(k, terms)
 
 
 def m_power(t):
@@ -355,44 +348,32 @@ def _slot_targets(alpha, sigma):
 def apply_pas(model, alpha, sigma, f):
     """The twisted operator m^[k] . P_alpha . sigma^{-1} . coproduct^[k].
 
-    Each word is split straight toward its targets: leg sigma(r) must end
-    with degree alpha_r, so a partial splitting dies once a leg overshoots,
-    and the output word is read off the legs in the order sigma(1), ...,
-    sigma(k).  No full tensor is built; the literal composition of
-    :func:`delta_power`, :func:`permute_tensor`, :func:`project_multi` and
-    :func:`m_power` is the reference it is tested against.  The operator is
-    linear, so each word's image is computed once per model and kept there.
-    A word of another degree than ``sum(alpha)`` has image 0 and is not kept.
+    Each word of degree ``sum(alpha)`` is split straight toward its targets
+    on every call: leg sigma(r) must end with degree alpha_r, so a partial
+    splitting dies once a leg overshoots, and the output word is read off
+    the legs in the order sigma(1), ..., sigma(k).  No full tensor is
+    built; the literal composition of :func:`delta_power`,
+    :func:`permute_tensor`, :func:`project_multi` and :func:`m_power` is
+    the reference it is tested against.  A word of another degree, like
+    every word under a negative part, has image 0.
     """
     if len(sigma) != len(alpha):
         raise ValueError("composition and permutation lengths differ")
-    alpha, sigma = tuple(alpha), tuple(sigma)
     n = sum(alpha)
-    images = model._images
     terms = {}
+    target = None
     for word, c in f.terms.items():
-        key = (alpha, sigma, word)
-        image = images.get(key)
-        if image is None:
-            # legs sum to the word's degree, so bounded legs meet alpha exactly
-            if word_degree(word) != n:
-                continue
-            image = images[key] = _word_image(model, alpha, sigma, word)
-        for w, mult in image:
+        # legs sum to the word's degree, so bounded legs meet alpha exactly
+        if word_degree(word) != n:
+            continue
+        if target is None:
+            if any(a < 0 for a in alpha):
+                break  # no leg has negative degree
+            target = _slot_targets(alpha, sigma)
+        for legs, mult in _word_delta(model, len(alpha), word, target).items():
+            w = tuple(x for s in sigma for x in legs[s - 1])
             terms[w] = terms.get(w, 0) + c * mult
     return FreeElement(terms)
-
-
-def _word_image(model, alpha, sigma, word):
-    """The image under p_(alpha, sigma) of one word of degree sum(alpha), as
-    ``(word, multiplicity)`` pairs."""
-    if any(a < 0 for a in alpha):
-        return ()  # no leg has negative degree
-    target = _slot_targets(alpha, sigma)
-    return tuple(_summed(
-        (tuple(x for s in sigma for x in legs[s - 1]), mult)
-        for legs, mult in _word_delta(model, len(alpha), word, target).items()
-    ).items())
 
 
 def convolve(model, phi, psi, f):

@@ -414,7 +414,8 @@ def test_coproducts_stay_with_their_model():
 
 
 def test_images_on_a_shared_model_match_the_literal_composition():
-    # one model serves every key, so each image is read back from its memo
+    # one model serves every key and probe, so later calls split their
+    # words through the letter splittings that earlier calls kept on it
     model = oracle.TriangularModel(4)
     x14 = model.gen(1, 4)
     words = [x14, oracle.element(((1, 2), (2, 4))), oracle.element(((1, 3), (3, 4)))]
