@@ -6,8 +6,8 @@ and the brute-force verification driver.  Output is deterministic (canonical
 term order everywhere), text by default, JSON with ``--json``.
 
 Exit codes: 0 on success (including a "not found" table search), 1 when an
-identity check or verification run fails, 2 on bad input: unparseable text,
-or a value out of its option's range.
+identity check or verification run fails, 2 on bad input, reported as one
+``error:`` line: bad text, or an argument missing, unknown or out of range.
 """
 
 import argparse
@@ -85,15 +85,19 @@ def _cmd_ktable(args):
     return 0, text, {"i": args.i, "j": args.j, "max": args.max, "k": k}
 
 
-# verify's largest model: at the default --max-size 3, size 12 runs its
-# 332 151 cases in about 9 s and 0.5 GB (2 CPUs, Python 3.11), and time and
-# memory grow steeply beyond it
+# verify's bounds (2 CPUs, Python 3.11): at the default --max-size 3, model
+# size 12 runs 332 151 cases in about 9 s and 0.5 GB; at the default
+# --model-size 4, composition size 4 runs 3 339 054 cases in about 12 s and
+# size 5 does not finish in a minute
 MAX_MODEL_SIZE = 12
+MAX_COMPOSITION_SIZE = 4
 
 
 def _cmd_verify(args):
     if args.model_size > MAX_MODEL_SIZE:
         raise ValueError(f"--model-size must be at most {MAX_MODEL_SIZE}")
+    if args.max_size > MAX_COMPOSITION_SIZE:
+        raise ValueError(f"--max-size must be at most {MAX_COMPOSITION_SIZE}")
     results = verify.run_all(
         model_size=args.model_size,
         max_size=args.max_size,
@@ -109,8 +113,15 @@ def _cmd_verify(args):
     return (0 if ok else 1), verify.format_report(results), {"families": families, "ok": ok}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each rejection as ``ValueError``; subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pnsym",
         description="Exact computations with twisted projecting operators "
         "and their Hopf algebra of basis keys.",
@@ -162,7 +173,13 @@ def build_parser():
         "composition-expansion needs 4 or more to catch an internal product "
         "taken in the wrong order",
     )
-    p.add_argument("--max-size", type=_nonnegative, default=3)
+    p.add_argument(
+        "--max-size",
+        type=_nonnegative,
+        default=3,
+        help="largest composition size the families sweep, "
+        f"0 to {MAX_COMPOSITION_SIZE} (default 3)",
+    )
     p.add_argument(
         "--family",
         action="append",
@@ -174,15 +191,15 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):
-        # long exact results print in full; a finite bound keeps int-to-text,
-        # quadratic in the digits, short.  Input keeps the Scanner's bound.
-        sys.set_int_max_str_digits(100_000)
     try:
+        args = build_parser().parse_args(argv)
+        if hasattr(sys, "set_int_max_str_digits"):
+            # long exact results print in full; a finite bound keeps int-to-text,
+            # quadratic in the digits, short.  Input keeps the Scanner's bound.
+            sys.set_int_max_str_digits(100_000)
         code, text, value = args.handler(args)
         print(json.dumps(value) if args.json else text)
-    except ValueError as exc:  # ParseError included
+    except ValueError as exc:  # ParseError and argument rejections included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -130,10 +130,9 @@ def test_a_rank_past_the_digit_limit_prints_in_full(capsys):
 
 
 def test_rank_rejects_negative_input(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["rank", "-1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, out, err = run(capsys, "rank", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: argument n: must be nonnegative\n"
 
 
 def test_check_holding_identity(capsys):
@@ -199,10 +198,9 @@ def test_check_expression_error_exits_2(capsys):
 
 
 def test_check_requires_a_degree(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "p1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, out, err = run(capsys, "check", "p1")
+    assert (code, out) == (2, "")
+    assert err == "error: the following arguments are required: --degree\n"
 
 
 def test_ktable(capsys):
@@ -313,11 +311,33 @@ def test_verify_bounds_the_model_size(capsys):
     assert code == 0 and err == ""
 
 
-def test_verify_rejects_unknown_family(capsys):
+def test_verify_bounds_the_max_size(capsys):
+    # the bound is checked before any model is built
+    code, out, err = run(
+        capsys, "verify", "--max-size", str(cli.MAX_COMPOSITION_SIZE + 1)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-size must be at most {cli.MAX_COMPOSITION_SIZE}\n"
+    code, out, err = run(
+        capsys, "verify", "--model-size", "1", "--max-size", str(cli.MAX_COMPOSITION_SIZE),
+        "--family", "degree-projection",
+    )
+    assert code == 0 and err == ""
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--family", "no-such-family"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--max-size" in capsys.readouterr().out
+
+
+def test_verify_rejects_unknown_family(capsys):
+    code, out, err = run(capsys, "verify", "--family", "no-such-family")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: argument --family: invalid choice: 'no-such-family'")
 
 
 # determinism ---------------------------------------------------------------------
@@ -405,6 +425,11 @@ def argvs(draw):
 @settings(max_examples=200, deadline=None)
 @given(argvs())
 @example(["verify", "--model-size", "99999999999", "--max-size", "1"])
+@example(["verify", "--max-size", "99999999999"])
+@example(["rank", "-1"])
+@example(["check", "p1"])
+@example(["verify", "--family", "nope"])
+@example(["verify", "--model-size", "0"])
 def test_every_run_keeps_the_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
