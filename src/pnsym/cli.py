@@ -87,7 +87,7 @@ def _cmd_ktable(args):
 
 # verify's bounds (2 CPUs, Python 3.11): at the default --max-size 3, model
 # size 12 runs 332 151 cases in about 9 s and 0.5 GB; at the default
-# --model-size 4, composition size 4 runs 3 339 054 cases in about 12 s and
+# --model-size 4, composition size 4 runs 3 339 054 cases in 12 to 16 s and
 # size 5 does not finish in a minute
 MAX_MODEL_SIZE = 12
 MAX_COMPOSITION_SIZE = 4
