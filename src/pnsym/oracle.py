@@ -14,7 +14,10 @@ twisted operators built from them -- is computed from first principles so
 the closed formulas elsewhere in the package can be checked against it.
 
 A second model (free on primitive degree-1 generators, cocommutative) backs
-the checks that only hold under cocommutativity.
+the checks that only hold under cocommutativity.  Both are graded
+bialgebras with nothing truncated: products are whole concatenations, the
+coproduct is extended to words multiplicatively, and each word's iterated
+coproduct is a finite sum.
 """
 
 import itertools
@@ -183,9 +186,6 @@ class TriangularModel(_FreeModel):
             raise ValueError(f"no generator x({i},{j}) in a size-{self.n} model")
         return element(((i, j),))
 
-    def admits(self, word):
-        return True
-
     def letter_coproduct_legs(self, letter, k):
         """All k-leg splittings of one generator: chains i = u0 <= ... <= uk = j."""
         i, j = letter
@@ -200,18 +200,13 @@ class TriangularModel(_FreeModel):
 
 
 class PrimitiveTensorModel(_FreeModel):
-    """Free algebra on primitive degree-1 generators 1..g (cocommutative).
+    """Free algebra on primitive degree-1 generators 1..g (cocommutative)."""
 
-    ``cap`` bounds the tracked degree so Sweedler expansions stay finite no
-    matter how the model is driven.
-    """
-
-    def __init__(self, g, cap=8):
+    def __init__(self, g):
         if g < 1:
             raise ValueError("need at least one generator")
         super().__init__()
         self.g = g
-        self.cap = cap
 
     def generators(self):
         return list(range(1, self.g + 1))
@@ -220,9 +215,6 @@ class PrimitiveTensorModel(_FreeModel):
         if not (1 <= a <= self.g):
             raise ValueError(f"no generator y({a}) in a {self.g}-generator model")
         return element((a,))
-
-    def admits(self, word):
-        return word_degree(word) <= self.cap
 
     def letter_coproduct_legs(self, letter, k):
         # primitive: the letter lands in exactly one leg
@@ -234,13 +226,12 @@ class PrimitiveTensorModel(_FreeModel):
 # structural operations
 
 
-def element_mul(model, f, g):
-    """Product in the model: concatenation of words, bilinear."""
+def element_mul(f, g):
+    """Product in either model: concatenation of words, bilinear."""
     return FreeElement(_summed(
         (w1 + w2, c * d)
         for w1, c in f.terms.items()
         for w2, d in g.terms.items()
-        if model.admits(w1 + w2)
     ))
 
 
@@ -252,7 +243,7 @@ def _word_delta(model, k, word, target=None):
     is dropped as soon as a leg overshoots, letter by letter, so only the
     legs that can still meet their bounds are ever built.  Without it each
     leg may take the whole word's degree, so nothing is dropped.  Only the
-    legs a letter lands in are tested against their room and ``admits``.
+    legs a letter lands in are tested against their room.
     """
     if target is None:
         target = (word_degree(word),) * k
@@ -268,9 +259,8 @@ def _word_delta(model, k, word, target=None):
                         break
                 else:
                     merged = tuple(map(operator.add, key, legs))
-                    if all(model.admits(merged[r]) for r, _ in touched):
-                        old = new.get(merged)
-                        new[merged] = (tuple(left), c + old[1] if old else c)
+                    old = new.get(merged)
+                    new[merged] = (tuple(left), c + old[1] if old else c)
         terms = new
         if not terms:
             break
@@ -382,7 +372,7 @@ def convolve(model, phi, psi, f):
     return FreeElement(_summed(
         (w, c * d)
         for (w1, w2), c in delta_power(model, 2, f).terms.items()
-        for w, d in element_mul(model, phi(element(w1)), psi(element(w2))).terms.items()
+        for w, d in element_mul(phi(element(w1)), psi(element(w2))).terms.items()
     ))
 
 

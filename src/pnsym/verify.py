@@ -30,20 +30,6 @@ from .oracle import FreeTensor, _summed, element
 
 
 @dataclass(frozen=True)
-class VerifyConfig:
-    """Bounds shared by all families.
-
-    ``model_size`` is the triangular-model size n; ``max_size`` bounds the
-    composition sizes swept by the operator families.  Permutation-level
-    families derive their degree bounds from ``max_size`` so the default
-    config (4, 3) exercises wreath degrees up to 4.
-    """
-
-    model_size: int = 4
-    max_size: int = 3
-
-
-@dataclass(frozen=True)
 class FamilyResult:
     name: str
     cases: int
@@ -159,13 +145,13 @@ def _case_label(*parts):
 # operator families (triangular model unless stated otherwise)
 
 
-def _fam_composition_expansion(cfg):
+def _fam_composition_expansion(model_size, max_size):
     """Composite of two operators equals the internal-product expansion."""
-    model = oracle.TriangularModel(cfg.model_size)
+    model = oracle.TriangularModel(model_size)
     gens = _generator_elements(model)
-    strict = _mopiscotions_up_to(cfg.max_size)
+    strict = _mopiscotions_up_to(max_size)
     # weak keys go through from_weak_term (reduction on ingest)
-    weak = _weak_pairs_up_to(max(cfg.max_size - 1, 0), cfg.max_size)
+    weak = _weak_pairs_up_to(max(max_size - 1, 0), max_size)
     # per pair of reduced keys: the generators' images under the operator of
     # their internal product, the right side of every case the pair names
     expansions = {}
@@ -196,11 +182,11 @@ def _fam_composition_expansion(cfg):
                 )
 
 
-def _fam_convolution_concatenation(cfg):
+def _fam_convolution_concatenation(model_size, max_size):
     """Convolution of two operators is the operator of the concatenated key."""
-    model = oracle.TriangularModel(cfg.model_size)
+    model = oracle.TriangularModel(model_size)
     probes = _probe_elements(model)
-    keys = _mopiscotions_up_to(cfg.max_size)
+    keys = _mopiscotions_up_to(max_size)
     operators = {key: _remembered(functools.partial(oracle.apply_pas, model, *key)) for key in keys}
     for (a, s), (b, t) in itertools.product(keys, keys):
         glued_alpha = comb.concat(a, b)
@@ -228,14 +214,14 @@ def _remembered(op):
     return operator
 
 
-def _fam_projection_convolution(cfg):
+def _fam_projection_convolution(model_size, max_size):
     """Identity-twist operators agree with convolutions of plain projections,
     folded from the Sweedler side with nothing of ``apply_pas``."""
-    model = oracle.TriangularModel(cfg.model_size)
+    model = oracle.TriangularModel(model_size)
     probes = _probe_elements(model)
     folds = {(): oracle.unit_counit}  # alpha -> p_alpha_1 * ... * p_alpha_k
-    for s in range(cfg.max_size + 1):
-        for length in range(cfg.max_size + 2):
+    for s in range(max_size + 1):
+        for length in range(max_size + 2):
             for alpha in comb.weak_compositions(s, length):
                 if alpha:  # alpha[:-1] came earlier: a smaller size or one part fewer
                     last = _remembered(functools.partial(oracle.degree_part, n=alpha[-1]))
@@ -249,27 +235,27 @@ def _fam_projection_convolution(cfg):
                     yield lhs == rhs, lambda: _case_label(comb.format_composition(alpha), pname)
 
 
-def _fam_reduction_invariance(cfg):
+def _fam_reduction_invariance(model_size, max_size):
     """A weak key and its reduction give the same operator."""
-    model = oracle.TriangularModel(cfg.model_size)
+    model = oracle.TriangularModel(model_size)
     gens = _generator_elements(model)
     # a reduced key's images of the generators
     images = functools.cache(lambda key: [oracle.apply_pas(model, *key, x) for _, x in gens])
-    for alpha, sigma in _weak_pairs_up_to(cfg.max_size, cfg.max_size + 2, max_zeros=2):
+    for alpha, sigma in _weak_pairs_up_to(max_size, max_size + 2, max_zeros=2):
         for (gname, x), rhs in zip(gens, images(comb.reduce_pair(alpha, sigma))):
             lhs = oracle.apply_pas(model, alpha, sigma, x)
             yield lhs == rhs, lambda: _case_label(comb.format_pair(alpha, sigma), gname)
 
 
-def _fam_degree_projection(cfg):
+def _fam_degree_projection(model_size, max_size):
     """Operators kill degrees other than their size and preserve their size."""
-    model = oracle.TriangularModel(cfg.model_size)
+    model = oracle.TriangularModel(model_size)
     homogeneous = list(_generator_elements(model))
     homogeneous.append(("x(1,2)x(2,3)", element(((1, 2), (2, 3)))))
-    if cfg.model_size >= 4:
+    if model_size >= 4:
         homogeneous.append(("x(1,2)x(3,4)", element(((1, 2), (3, 4)))))
         homogeneous.append(("x(1,2)x(2,3)x(3,4)", element(((1, 2), (2, 3), (3, 4)))))
-    for alpha, sigma in _mopiscotions_up_to(cfg.max_size):
+    for alpha, sigma in _mopiscotions_up_to(max_size):
         n = sum(alpha)
         for hname, x in homogeneous:
             degree = oracle.word_degree(next(iter(x.terms)))
@@ -281,13 +267,13 @@ def _fam_degree_projection(cfg):
             yield ok, lambda: _case_label(comb.format_pair(alpha, sigma), hname)
 
 
-def _fam_cocommutative_collapse(cfg):
+def _fam_cocommutative_collapse(model_size, max_size):
     """On a cocommutative model the permutation twist is invisible."""
-    model = oracle.PrimitiveTensorModel(2, cap=cfg.max_size + 2)
+    model = oracle.PrimitiveTensorModel(2)
     words = []
-    for length in range(1, cfg.max_size + 1):
+    for length in range(1, max_size + 1):
         words.extend(itertools.product(model.generators(), repeat=length))
-    for alpha, sigma in _mopiscotions_up_to(cfg.max_size):
+    for alpha, sigma in _mopiscotions_up_to(max_size):
         ident = comb.identity(len(sigma))
         if sigma == ident:
             continue
@@ -299,15 +285,15 @@ def _fam_cocommutative_collapse(cfg):
             )
 
 
-def _fam_tensor_square_expansion(cfg):
+def _fam_tensor_square_expansion(model_size, max_size):
     """Operators on a tensor square split over entrywise summands."""
-    model = oracle.TriangularModel(cfg.model_size)
+    model = oracle.TriangularModel(model_size)
     legs = [oracle.one(), element(((1, 2),)), element(((1, 3),)), element(((1, 2), (2, 3)))]
     probes = [
         (f"leg{i}x{j}", oracle.tensor_of_elements(f, g))
         for (i, f), (j, g) in itertools.product(enumerate(legs), repeat=2)
     ]
-    for alpha, sigma in _mopiscotions_up_to(cfg.max_size):
+    for alpha, sigma in _mopiscotions_up_to(max_size):
         for pname, t in probes:
             lhs = oracle.apply_pas_on_tensor_square(model, alpha, sigma, t)
             rhs = _tensor_sum(2, (
@@ -321,10 +307,10 @@ def _fam_tensor_square_expansion(cfg):
             yield lhs == rhs, lambda: _case_label(comb.format_pair(alpha, sigma), pname)
 
 
-def _fam_distinct_images(cfg):
+def _fam_distinct_images(model_size, max_size):
     """Images of one top-degree generator are pairwise distinct monomials."""
-    model = oracle.TriangularModel(cfg.model_size)
-    for s in range(1, min(cfg.max_size, cfg.model_size - 1) + 1):
+    model = oracle.TriangularModel(model_size)
+    for s in range(1, min(max_size, model_size - 1) + 1):
         x = model.gen(1, 1 + s)
         seen = set()
         for alpha, sigma in comb.mopiscotions(s):
@@ -340,9 +326,9 @@ def _fam_distinct_images(cfg):
 # permutation-level families
 
 
-def _fam_shuffle_factorization(cfg):
+def _fam_shuffle_factorization(model_size, max_size):
     """The composed-operator permutation factors through the shuffle."""
-    bound = cfg.max_size + 1
+    bound = max_size + 1
     for k in range(1, bound + 1):
         for length in range(1, bound + 1):
             zeta_inv = comb.inverse(comb.zolotarev(k, length))
@@ -356,13 +342,13 @@ def _fam_shuffle_factorization(cfg):
                     yield lhs == rhs, lambda: _case_label(k, length, sigma, tau)
 
 
-def _fam_wreath_associativity(cfg):
+def _fam_wreath_associativity(model_size, max_size):
     """Substitution of permutations is associative."""
-    bound = cfg.max_size + 1
+    bound = max_size + 1
     substituted = functools.cache(comb.wreath_substitute)  # for (ups, tau), every sigma
     for k in range(1, bound + 1):
         for length in range(1, bound + 1):
-            for m in range(1, cfg.max_size + 1):
+            for m in range(1, max_size + 1):
                 for sigma in itertools.permutations(range(1, k + 1)):
                     for tau in itertools.permutations(range(1, length + 1)):
                         inner = comb.wreath_substitute(tau, sigma)
@@ -376,37 +362,37 @@ def _fam_wreath_associativity(cfg):
 # iterated-structure families (maps in and out of tensor powers)
 
 
-def _iter_kl(cfg):
-    top = min(cfg.max_size, 3)
+def _iter_kl(max_size):
+    top = min(max_size, 3)
     for k in range(top + 1):
         for length in range(top + 1):
             yield k, length
 
 
-def _fam_iterated_product_merge(cfg):
+def _fam_iterated_product_merge(model_size, max_size):
     """Multiplying block-wise then across blocks is one big multiplication."""
-    model = oracle.TriangularModel(cfg.model_size)
-    for k, length in _iter_kl(cfg):
+    model = oracle.TriangularModel(model_size)
+    for k, length in _iter_kl(max_size):
         for i, t in enumerate(_probe_tensors(model, k * length)):
             lhs = oracle.m_power(_block_merge(t, k, length))
             rhs = oracle.m_power(t)
             yield lhs == rhs, lambda: _case_label(k, length, f"t{i}")
 
 
-def _fam_iterated_coproduct_merge(cfg):
+def _fam_iterated_coproduct_merge(model_size, max_size):
     """Splitting every leg again is one big splitting."""
-    model = oracle.TriangularModel(cfg.model_size)
-    for k, length in _iter_kl(cfg):
+    model = oracle.TriangularModel(model_size)
+    for k, length in _iter_kl(max_size):
         for pname, x in _generator_elements(model):
             lhs = _legwise_delta(model, oracle.delta_power(model, length, x), k)
             rhs = oracle.delta_power(model, k * length, x)
             yield lhs == rhs, lambda: _case_label(k, length, pname)
 
 
-def _fam_product_coproduct_exchange(cfg):
+def _fam_product_coproduct_exchange(model_size, max_size):
     """Coproduct of a product re-sorts through the shuffle permutation."""
-    model = oracle.TriangularModel(cfg.model_size)
-    for k, length in _iter_kl(cfg):
+    model = oracle.TriangularModel(model_size)
+    for k, length in _iter_kl(max_size):
         zeta = comb.zolotarev(k, length)
         for i, t in enumerate(_probe_tensors(model, length)):
             lhs = oracle.delta_power(model, k, oracle.m_power(t))
@@ -415,22 +401,22 @@ def _fam_product_coproduct_exchange(cfg):
             yield lhs == rhs, lambda: _case_label(k, length, f"t{i}")
 
 
-def _projection_splits(cfg):
+def _projection_splits(max_size):
     """``(k, length, gamma, flats)``: each flat splits every part of the
     k-part degree vector ``gamma`` into ``length`` parts, read row-major."""
-    for k, length in _iter_kl(cfg):
+    for k, length in _iter_kl(max_size):
         if k * length > 6:
             continue
-        for d in range(cfg.max_size + 1):
+        for d in range(max_size + 1):
             for gamma in comb.weak_compositions(d, k):
                 rows = itertools.product(*(comb.weak_compositions(g, length) for g in gamma))
                 yield k, length, gamma, [tuple(itertools.chain.from_iterable(r)) for r in rows]
 
 
-def _fam_projection_product_split(cfg):
+def _fam_projection_product_split(model_size, max_size):
     """Projecting a block product sums over per-block degree splits."""
-    model = oracle.TriangularModel(cfg.model_size)
-    for k, length, gamma, flats in _projection_splits(cfg):
+    model = oracle.TriangularModel(model_size)
+    for k, length, gamma, flats in _projection_splits(max_size):
         for i, t in enumerate(_probe_tensors(model, k * length)):
             lhs = oracle.project_multi(_block_merge(t, k, length), gamma)
             rhs = _tensor_sum(k, (
@@ -441,10 +427,10 @@ def _fam_projection_product_split(cfg):
             )
 
 
-def _fam_projection_coproduct_split(cfg):
+def _fam_projection_coproduct_split(model_size, max_size):
     """Projecting before splitting sums over per-leg degree splits."""
-    model = oracle.TriangularModel(cfg.model_size)
-    for k, length, gamma, flats in _projection_splits(cfg):
+    model = oracle.TriangularModel(model_size)
+    for k, length, gamma, flats in _projection_splits(max_size):
         for i, t in enumerate(_probe_tensors(model, k)):
             lhs = _legwise_delta(model, oracle.project_multi(t, gamma), length)
             spread = _legwise_delta(model, t, length)
@@ -454,12 +440,12 @@ def _fam_projection_coproduct_split(cfg):
             )
 
 
-def _fam_projection_permutation_twist(cfg):
+def _fam_projection_permutation_twist(model_size, max_size):
     """Projection after permuting equals permuting a re-indexed projection."""
-    model = oracle.TriangularModel(cfg.model_size)
-    for k in range(min(cfg.max_size, 3) + 1):
+    model = oracle.TriangularModel(model_size)
+    for k in range(min(max_size, 3) + 1):
         for pi in itertools.permutations(range(1, k + 1)):
-            for d in range(cfg.max_size + 1):
+            for d in range(max_size + 1):
                 for gamma in comb.weak_compositions(d, k):
                     for i, t in enumerate(_probe_tensors(model, k)):
                         lhs = oracle.project_multi(oracle.permute_tensor(t, pi), gamma)
@@ -471,13 +457,13 @@ def _fam_projection_permutation_twist(cfg):
                         )
 
 
-def _fam_projection_orthogonality(cfg):
+def _fam_projection_orthogonality(model_size, max_size):
     """Distinct projections annihilate each other; equal ones are idempotent."""
-    model = oracle.TriangularModel(cfg.model_size)
-    for k in range(min(cfg.max_size, 2) + 1):
+    model = oracle.TriangularModel(model_size)
+    for k in range(min(max_size, 2) + 1):
         pool = [
             gamma
-            for d in range(cfg.max_size + 1)
+            for d in range(max_size + 1)
             for gamma in comb.weak_compositions(d, k)
         ]
         for alpha, beta in itertools.product(pool, repeat=2):
@@ -511,11 +497,14 @@ FAMILIES = {
 
 
 def run_family(name, model_size=4, max_size=3):
-    cfg = VerifyConfig(model_size=model_size, max_size=max_size)
+    """Run one family.  ``model_size`` is the triangular-model size n;
+    ``max_size`` bounds the composition sizes the operator families sweep,
+    and the permutation-level families derive their degree bounds from it,
+    so the defaults (4, 3) exercise wreath degrees up to 4."""
     cases = 0
     failures = 0
     examples = []
-    for ok, label in FAMILIES[name](cfg):
+    for ok, label in FAMILIES[name](model_size, max_size):
         cases += 1
         if not ok:
             failures += 1

@@ -280,7 +280,6 @@ def _convolution_after(model, f, g, h, x):
     inner = oracle.evaluate_pnsym(model, h, x)
     for (w, v), c in oracle.delta_power(model, 2, inner).terms.items():
         out = out + c * oracle.element_mul(
-            model,
             oracle.evaluate_pnsym(model, f, oracle.element(w)),
             oracle.evaluate_pnsym(model, g, oracle.element(v)),
         )
@@ -331,7 +330,7 @@ def _splitting_problems():
     ):
         gens = [oracle.element((letter,)) for letter in model.generators()]
         inputs = gens + [
-            oracle.element_mul(model, x, y) for x, y in itertools.product(gens, repeat=2)
+            oracle.element_mul(x, y) for x, y in itertools.product(gens, repeat=2)
         ]
         expected = [_convolution_after(model, f, g, h, x) for x in inputs]
         name = type(model).__name__

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from pnsym import combinatorics as comb
 from pnsym import core, oracle
 
-from test_coefficients import canonical
+from test_coefficients import MODELS, canonical, oracle_cases
 
 
 F_basis = core.basis
@@ -91,7 +91,7 @@ def test_coproduct_of_long_generator_splits_through_midpoint():
 
 
 def test_single_power_is_identity():
-    f = x13 + 2 * oracle.element_mul(T3, x12, x23)
+    f = x13 + 2 * oracle.element_mul(x12, x23)
     assert oracle.delta_power(T3, 1, f) == oracle.FreeTensor(
         1, {(w,): c for w, c in f.terms.items()}
     )
@@ -105,7 +105,7 @@ def test_zero_power_is_the_counit():
 
 
 def test_coproduct_is_multiplicative_on_a_product_word():
-    f = oracle.element_mul(T3, x12, x12)
+    f = oracle.element_mul(x12, x12)
     expected = (
         tensor((), ((1, 2), (1, 2)))
         + 2 * tensor(((1, 2),), ((1, 2),))
@@ -120,28 +120,38 @@ def test_primitive_model_generators_are_primitive():
     assert oracle.delta_power(model, 2, y) == tensor((), (2,)) + tensor((2,), ())
 
 
-def test_primitive_model_cap_truncates_products():
-    model = oracle.PrimitiveTensorModel(1, cap=2)
-    y = model.gen(1)
-    yy = oracle.element_mul(model, y, y)
-    assert oracle.element_mul(model, yy, y) == oracle.FreeElement({})
-
-
-def test_primitive_model_cap_truncates_coproduct_legs():
-    model = oracle.PrimitiveTensorModel(1, cap=2)
-    yyy = oracle.element((1, 1, 1))
-    assert oracle.delta_power(model, 1, yyy) == oracle.FreeTensor(1, {})
-    assert oracle.delta_power(model, 2, yyy) == 3 * tensor((1,), (1, 1)) + 3 * tensor(
-        (1, 1), (1,)
-    )
-
-
 @given(st.lists(st.integers(min_value=1, max_value=3), max_size=4))
 def test_primitive_model_is_cocommutative(word):
     model = oracle.PrimitiveTensorModel(3)
     f = oracle.element(tuple(word))
     spread = oracle.delta_power(model, 2, f)
     assert oracle.permute_tensor(spread, (2, 1)) == spread
+
+
+def legwise_product(s, t):
+    """The product of two tensors of one arity: leg r of each term multiplies
+    leg r of the other's, through ``element_mul``."""
+    terms = {}
+    for legs1, c in s.terms.items():
+        for legs2, d in t.terms.items():
+            product = oracle.tensor_of_elements(*(
+                oracle.element_mul(oracle.element(a), oracle.element(b))
+                for a, b in zip(legs1, legs2)
+            ))
+            for legs, e in product.terms.items():
+                terms[legs] = terms.get(legs, 0) + c * d * e
+    return oracle.FreeTensor(s.arity, terms)
+
+
+# y(1)y(2) squared: its product and the legs of its coproduct are whole words
+@example((MODELS[1], oracle.element((1, 2)), oracle.element((1, 2))))
+@settings(max_examples=100, deadline=None)
+@given(oracle_cases())
+def test_both_models_are_bialgebras(case):
+    model, f, g = case
+    assert oracle.delta_power(model, 2, oracle.element_mul(f, g)) == legwise_product(
+        oracle.delta_power(model, 2, f), oracle.delta_power(model, 2, g)
+    )
 
 
 # multiplication and projections -----------------------------------------------
@@ -165,7 +175,7 @@ def test_project_multi_length_must_match_arity():
 
 
 def test_degree_part_picks_homogeneous_terms():
-    f = x12 + oracle.element_mul(T3, x12, x23) + 2 * oracle.one()
+    f = x12 + oracle.element_mul(x12, x23) + 2 * oracle.one()
     assert oracle.degree_part(f, 1) == x12
     assert oracle.degree_part(f, 0) == 2 * oracle.one()
     assert oracle.degree_part(f, 5) == oracle.FreeElement({})
@@ -252,7 +262,7 @@ def weak_pair_pool(size_max, length_max):
 def probe_elements(model):
     gens = [model.gen(*g) if isinstance(g, tuple) else model.gen(g)
             for g in model.generators()]
-    word = oracle.element_mul(model, gens[0], gens[-1])
+    word = oracle.element_mul(gens[0], gens[-1])
     mixed = Fraction(1, 2) * gens[0] + word - 2 * gens[-1]
     return gens + [word, mixed]
 
@@ -299,8 +309,8 @@ def literal_pas(model, alpha, sigma, f):
     return oracle.m_power(oracle.project_multi(twisted, alpha))
 
 
-# the primitive model's cap is below the longest words, so admits() prunes
-REFERENCE_MODELS = [oracle.TriangularModel(4), oracle.PrimitiveTensorModel(2, cap=3)]
+# one model that is not cocommutative and one that is
+REFERENCE_MODELS = [oracle.TriangularModel(4), oracle.PrimitiveTensorModel(2)]
 T4_x14 = REFERENCE_MODELS[0].gen(1, 4)
 COEFFICIENTS = st.one_of(
     st.integers(-3, 3),
@@ -353,15 +363,13 @@ def test_twisted_operator_matches_the_literal_composition(case):
 
 def brute_word_delta(model, k, word, target=None):
     """Reference for ``_word_delta``: every choice of one k-leg splitting per
-    letter, unpruned, then filtered by the target and ``admits``."""
+    letter, unpruned, then filtered by the target."""
     terms = {}
     for choice in itertools.product(*(model.letter_coproduct_legs(x, k) for x in word)):
         legs = tuple(tuple(x for split in choice for x in split[r]) for r in range(k))
-        if target is not None and any(
-            oracle.word_degree(leg) > t for leg, t in zip(legs, target)
+        if target is None or all(
+            oracle.word_degree(leg) <= t for leg, t in zip(legs, target)
         ):
-            continue
-        if all(model.admits(leg) for leg in legs):
             terms[legs] = terms.get(legs, 0) + 1
     return terms
 
@@ -375,7 +383,7 @@ def split_cases(draw):
     return model, k, _cut(word), target
 
 
-# the primitive model's cap is 3, so its 4-letter words are truncated
+# primitive words split whole, with targets and without
 @example((REFERENCE_MODELS[1], 2, (1, 2, 1, 2), None))
 @example((REFERENCE_MODELS[1], 3, (1, 2, 1), (1, 1, 2)))
 @example((REFERENCE_MODELS[1], 1, (2, 2, 2), (3,)))
@@ -389,28 +397,6 @@ def test_word_delta_matches_the_brute_force_splitting(case):
     assert oracle._word_delta(model, k, word, target) == brute_word_delta(
         model, k, word, target
     )
-
-
-def test_images_stay_with_their_model():
-    # y(1)^3 passes the degree-3 cap and dies under the degree-2 cap
-    yyy = oracle.element((1, 1, 1))
-    expected = {2: oracle.FreeElement({}), 3: yyy}
-    for caps in [(2, 3), (3, 2)]:
-        models = {cap: oracle.PrimitiveTensorModel(1, cap=cap) for cap in caps}
-        for cap in caps:
-            assert oracle.apply_pas(models[cap], (3,), (1,), yyy) == expected[cap]
-
-
-def test_coproducts_stay_with_their_model():
-    # y(1)^3 keeps its whole-word legs under the degree-3 cap, not under 2
-    yyy = oracle.element((1, 1, 1))
-    split = 3 * tensor((1,), (1, 1)) + 3 * tensor((1, 1), (1,))
-    expected = {2: split, 3: split + tensor((1, 1, 1), ()) + tensor((), (1, 1, 1))}
-    for caps in [(2, 3), (3, 2)]:
-        models = {cap: oracle.PrimitiveTensorModel(1, cap=cap) for cap in caps}
-        for cap in caps:
-            for _ in range(2):
-                assert oracle.delta_power(models[cap], 2, yyy) == expected[cap]
 
 
 def test_images_on_a_shared_model_match_the_literal_composition():

@@ -138,7 +138,7 @@ def _legs_swapped(model, phi, psi, f):
     """``oracle.convolve`` with ``phi`` on the right leg and ``psi`` on the left."""
     return sum(
         (
-            c * oracle.element_mul(model, phi(oracle.element(w2)), psi(oracle.element(w1)))
+            c * oracle.element_mul(phi(oracle.element(w2)), psi(oracle.element(w1)))
             for (w1, w2), c in oracle.delta_power(model, 2, f).terms.items()
         ),
         oracle.FreeElement(),
