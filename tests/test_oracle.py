@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,48 @@ def test_primitive_model_generators_are_primitive():
     model = oracle.PrimitiveTensorModel(3)
     y = model.gen(2)
     assert oracle.delta_power(model, 2, y) == tensor((), (2,)) + tensor((2,), ())
+
+
+def test_primitive_model_products_keep_every_length():
+    model = oracle.PrimitiveTensorModel(1)
+    y = model.gen(1)
+    power = y
+    for n in range(2, 6):
+        power = oracle.element_mul(power, y)
+        assert power == oracle.element((1,) * n)
+
+
+def test_primitive_model_coproduct_keeps_whole_word_legs():
+    model = oracle.PrimitiveTensorModel(1)
+    yyy = oracle.element((1, 1, 1))
+    assert oracle.delta_power(model, 1, yyy) == tensor((1, 1, 1))
+    assert oracle.delta_power(model, 2, yyy) == (
+        tensor((1, 1, 1), ())
+        + 3 * tensor((1,), (1, 1))
+        + 3 * tensor((1, 1), (1,))
+        + tensor((), (1, 1, 1))
+    )
+
+
+@st.composite
+def power_cases(draw):
+    alpha = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    sigma = tuple(draw(st.permutations(range(1, len(alpha) + 1))))
+    return alpha, sigma
+
+
+# p_(alpha,sigma) sends y^n to the multinomial n! / (alpha_1! ... alpha_k!)
+# times y^n: each leg takes alpha_r of the n primitive letters, in any order
+@example(((3,), (1,)))
+@example(((1, 2), (2, 1)))
+@given(power_cases())
+def test_twisted_operator_scales_a_primitive_power_by_a_multinomial(case):
+    alpha, sigma = case
+    n = sum(alpha)
+    power = oracle.element((1,) * n)
+    multinomial = math.factorial(n) // math.prod(math.factorial(a) for a in alpha)
+    model = oracle.PrimitiveTensorModel(1)
+    assert oracle.apply_pas(model, alpha, sigma, power) == multinomial * power
 
 
 @given(st.lists(st.integers(min_value=1, max_value=3), max_size=4))
