@@ -7,11 +7,13 @@ coefficient equality.  Three products/coproducts live here:
 
 * :func:`external_mul` -- concatenate compositions, direct-sum permutations
   (mirrors convolution of the twisted operators);
-* :func:`internal_mul` -- sum over contingency tables (mirrors composition);
+* :func:`internal_mul` -- sum over contingency tables (mirrors composition),
+  each table's twist ranked by one walk of the twist's inverse;
 * :func:`coproduct` -- entrywise decompositions of the composition.
 
 The antipode and the coproduct read one splitting kernel,
-:func:`_key_coproduct`.  The antipode runs it only on keys that are not
+:func:`_key_coproduct`, which grows the splittings one position at a time,
+so each prefix is built once.  The antipode runs it only on keys that are not
 external products: it is an anti-homomorphism, so a key that splits into
 direct-sum blocks gets the product of its blocks' antipodes in reverse
 order, through :func:`_add_product`, the kernel of ``external_mul``.  The
@@ -193,31 +195,29 @@ def _by_degree(g_terms):
 def _key_product(key, c, g_by_degree, shapes, terms):
     """Add ``c`` F(a;s) times the right factor ``g_by_degree`` into ``terms``.
 
-    The tables and their zero-drops depend only on (a, b), so each shape is
-    enumerated once per ``shapes`` cache (:func:`_table_groups`).  The
-    twist's inverse is built directly, from the inverses of s and t.  Each
-    group of tables with the same nonzero cells takes as its permutation
-    the twist standardized on those cells, from one walk of the inverse:
-    the kept cells are ranked 1, 2, ... in the order the inverse visits
-    them, each found through the group's slot array, so nothing is sorted.
+    The tables depend only on (a, b), so each shape is enumerated once per
+    ``shapes`` cache (:func:`_tables`).  The twist's inverse is built
+    directly, from the inverses of s and t.  Each table takes as its
+    permutation the twist standardized on its nonzero cells, from one walk
+    of the inverse: the kept cells are ranked 1, 2, ... in the order the
+    inverse visits them, each found through the table's slot array, so
+    nothing is sorted.
     """
     a, s = key
     inv_s = comb.inverse(s)
     for b, inv_t, d in g_by_degree.get(sum(a), ()):
         cd = c * d
         inv = comb.wreath_substitute(inv_s, inv_t)
-        for kept, slot, alphas in _table_groups(a, b, shapes):
-            ranks = [0] * len(kept)
+        for slot, alpha, k in _tables(a, b, shapes):
+            ranks = [0] * k
             r = 0
             for p in inv:
                 j = slot[p]
                 if j is not None:
                     r += 1
                     ranks[j] = r
-            sigma = tuple(ranks)
-            for alpha in alphas:
-                out = (alpha, sigma)
-                terms[out] = terms.get(out, 0) + cd
+            out = (alpha, tuple(ranks))
+            terms[out] = terms.get(out, 0) + cd
 
 
 class Rows:
@@ -285,29 +285,24 @@ def _cleared(f):
     return {key: c.numerator * (den // c.denominator) for key, c in f.terms.items()}, den
 
 
-def _table_groups(a, b, shapes):
-    """The tables with row sums ``a`` and column sums ``b``, grouped by the
-    nonzero cells of :func:`pnsym.combinatorics.contingency_tables`.
-
-    Returns ``[(kept, slot, alphas)]``, groups in order of first appearance:
-    ``kept`` lists the nonzero cells' positions in the row-major flattening,
-    ``slot`` is indexed by 1-based position in that flattening and holds the
-    index in ``kept`` of the cell there, or ``None``, and ``alphas`` lists
-    the group's tables' entries at ``kept`` (distinct, since the tables
-    are).  ``shapes`` is the caller's cache, keyed by ``(a, b)``.
+def _tables(a, b, shapes):
+    """The tables with row sums ``a`` and column sums ``b``, in the order of
+    :func:`pnsym.combinatorics.contingency_tables`, each as ``(slot, alpha,
+    len(alpha))``: ``alpha`` lists its nonzero entries in the row-major
+    flattening, and ``slot``, indexed by 1-based position in that
+    flattening, holds the index in ``alpha`` of the entry there, or
+    ``None``.  ``shapes`` is the caller's cache, keyed by ``(a, b)``.
     """
-    groups = shapes.get((a, b))
-    if groups is None:
-        by_kept = {}
+    tables = shapes.get((a, b))
+    if tables is None:
+        size = len(a) * len(b) + 1
+        tables = shapes[a, b] = []
         for kept, alpha in comb.contingency_tables(a, b):
-            by_kept.setdefault(kept, []).append(alpha)
-        groups = shapes[(a, b)] = []
-        for kept, alphas in by_kept.items():
-            slot = [None] * (len(a) * len(b) + 1)
+            slot = [None] * size
             for j, i in enumerate(kept):
                 slot[i + 1] = j
-            groups.append((kept, slot, alphas))
-    return groups
+            tables.append((slot, alpha, len(alpha)))
+    return tables
 
 
 def degree_component(f, n):
@@ -356,11 +351,14 @@ def coproduct(f):
 
 def _key_coproduct(alpha, sigma):
     """The reduced legs of each entrywise splitting of F(alpha; sigma), in
-    lexicographic order of the left leg's weak composition beta: the one
-    splitting kernel, read by :func:`coproduct` and the antipode.
+    lexicographic order of the left leg's weak composition beta, as a list:
+    the one splitting kernel, read by :func:`coproduct` and the antipode.
 
-    One pass over beta builds each leg's nonzero values and its support, a
-    bitmask of positions.  Each mask is some leg's support, so sigma is
+    The splittings grow one position at a time, each as both legs' nonzero
+    values and their supports, bitmasks of positions, so a prefix is built
+    once for all the splittings that share it.  Each partial splitting
+    spawns b = 0, ..., x at the next entry x (positive, as in every reduced
+    key), in that order.  Each mask is some leg's support, so sigma is
     standardized on every mask once, up front: a kept position's rank is
     one more than the number of kept positions below it in value.
     """
@@ -370,19 +368,21 @@ def _key_coproduct(alpha, sigma):
         tuple([(mask & below[i]).bit_count() + 1 for i in range(n) if mask >> i & 1])
         for mask in range(1 << n)
     ]
-    for beta in itertools.product(*[range(x + 1) for x in alpha]):
-        left, right = [], []
-        lmask = rmask = 0
-        bit = 1
-        for x, b in zip(alpha, beta):
-            if b:
-                left.append(b)
-                lmask |= bit
-            if b < x:
-                right.append(x - b)
-                rmask |= bit
-            bit <<= 1
-        yield (tuple(left), ranked[lmask]), (tuple(right), ranked[rmask])
+    parts = [((), 0, (), 0)]
+    bit = 1
+    for x in alpha:
+        grown = []
+        for left, lmask, right, rmask in parts:
+            grown.append((left, lmask, right + (x,), rmask | bit))
+            for b in range(1, x):
+                grown.append((left + (b,), lmask | bit, right + (x - b,), rmask | bit))
+            grown.append((left + (x,), lmask | bit, right, rmask))
+        parts = grown
+        bit <<= 1
+    return [
+        ((left, ranked[lmask]), (right, ranked[rmask]))
+        for left, lmask, right, rmask in parts
+    ]
 
 
 def antipode(f):

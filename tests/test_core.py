@@ -112,21 +112,22 @@ def test_external_mul_concatenates():
     assert core.external_mul(F((2,), (1,)), UNIT) == F((2,), (1,))
 
 
-def test_table_groups_match_reference_grouping_in_order():
-    # nonzero cells of the row-major flattening, groups in order of first use
+def test_tables_match_the_reference_tables_in_order():
+    # nonzero entries of the row-major flattening, tables in reference order
     for n in range(6):
         for a in comb.compositions(n):
             for b in comb.compositions(n):
-                want = {}
+                tables = core._tables(a, b, {})
+                want = []
                 for table in reference_tables(a, b):
                     flat = [x for row in table for x in row]
                     kept = tuple(i for i, x in enumerate(flat) if x)
-                    want.setdefault(kept, []).append(tuple(flat[i] for i in kept))
-                groups = core._table_groups(a, b, {})
-                assert [(kept, alphas) for kept, _, alphas in groups] == list(want.items())
-                # each group's slot array maps a 1-based flattening position
-                # to the index of its kept cell there, and nothing else
-                for kept, slot, _ in groups:
+                    want.append((kept, tuple(flat[i] for i in kept)))
+                assert [alpha for _, alpha, _ in tables] == [alpha for _, alpha in want]
+                # each table's slot array maps a 1-based flattening position
+                # to the index of its nonzero entry there, and nothing else
+                for (slot, alpha, k), (kept, _) in zip(tables, want):
+                    assert k == len(alpha)
                     assert len(slot) == len(a) * len(b) + 1
                     where = {i + 1: j for j, i in enumerate(kept)}
                     assert slot == [where.get(p) for p in range(len(slot))]
@@ -250,13 +251,12 @@ def test_internal_products_match_the_reference():
 
 
 def _ranked_by_sorting(key1, key2):
-    """F(key1) * F(key2), each table group's twist standardized by sorting."""
+    """F(key1) * F(key2), each table's twist standardized by sorting."""
     (a, s), (b, t) = key1, key2
     twist = comb.wreath_substitute(t, s)
     return core.PnsymElement.sum(
         ((alpha, comb.standardize([twist[i] for i in kept])), 1)
-        for kept, _, alphas in core._table_groups(a, b, {})
-        for alpha in alphas
+        for kept, alpha in comb.contingency_tables(a, b)
     )
 
 
@@ -273,10 +273,22 @@ def _rank_cases():
             yield (a, s), (b, t)
 
 
-def test_each_group_ranks_its_twist_as_sorting_does():
+def test_each_table_ranks_its_twist_as_sorting_does():
     for key1, key2 in _rank_cases():
         got = core.internal_mul(core.PnsymElement({key1: 1}), core.PnsymElement({key2: 1}))
         assert got == _ranked_by_sorting(key1, key2), (key1, key2)
+
+
+@pytest.mark.parametrize("a", [(3, 3), (3, 4)])
+def test_tables_with_one_support_each_rank_their_own_twist(a):
+    # two tables of a x a share their nonzero cells: [[2,1],[1,2]] and
+    # [[1,2],[2,1]] for (3,3), [[2,1],[1,3]] and [[1,2],[2,2]] for (3,4)
+    supports = [kept for kept, _ in comb.contingency_tables(a, a)]
+    assert len(set(supports)) == len(supports) - 1
+    keys = [key for key in comb.mopiscotions(sum(a)) if key[0] == a]
+    for key1, key2 in itertools.product(keys, repeat=2):
+        f, g = core.PnsymElement({key1: 1}), core.PnsymElement({key2: 1})
+        assert core.internal_mul(f, g) == _reference_internal_mul(f, g), (key1, key2)
 
 
 @st.composite
@@ -384,6 +396,19 @@ def test_coproduct_matches_reference_in_order():
         f = core.basis(*key)
         got, want = core.coproduct(f), hopf_reference.coproduct(f)
         assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_coproduct_matches_reference_in_order_at_degree_6():
+    # up to four seeded keys of each composition of 6, down to (1,1,1,1,1,1)
+    rng = random.Random(20261020)
+    by_alpha = {}
+    for key in comb.mopiscotions(6):
+        by_alpha.setdefault(key[0], []).append(key)
+    for keys in by_alpha.values():
+        for key in rng.sample(keys, min(4, len(keys))):
+            f = core.basis(*key)
+            got, want = core.coproduct(f), hopf_reference.coproduct(f)
+            assert list(got.terms.items()) == list(want.terms.items()), key
 
 
 @given(elements(max_size=4, max_terms=4))
