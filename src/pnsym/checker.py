@@ -13,6 +13,7 @@ that expansion is zero.  Everything is exact rational arithmetic — a verdict
 is a proof at that degree, not an approximation.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -360,24 +361,6 @@ def _expand_antipode(m):
     return core.PnsymElement(out)
 
 
-def _comp_power(base, exponent):
-    """``base`` composed with itself, ``exponent >= 1`` times.
-
-    Stops as soon as one more product leaves the power unchanged: each step
-    multiplies by the same base, so from then on the power stays the same.
-    Every step reads one memo of ``base`` (:class:`pnsym.core.Rows`), so each
-    key's product with it is computed once for the whole power.
-    """
-    power = base
-    rows = core.Rows(base)
-    for _ in range(exponent - 1):
-        following = core.internal_mul(power, base, rows=rows)
-        if following == power:
-            break
-        power = following
-    return power
-
-
 def _conv_power(base, n, m):
     """The n-th convolution power of ``base``, truncated to degree ``m``.
 
@@ -431,7 +414,10 @@ def _expand(e, m):
     if isinstance(e, CompPower):
         if e.exponent == 0:
             return _expand_id(m)
-        return _comp_power(_expand(e.body, m), e.exponent)
+        powers = core.composition_powers(_expand(e.body, m))
+        for power in itertools.islice(powers, e.exponent):
+            pass
+        return power
     if isinstance(e, ConvPower):
         return _conv_power(_expand(e.body, m), e.exponent, m)
     raise TypeError(f"not an operator expression: {e!r}")
@@ -466,20 +452,16 @@ def k_value(i, j, k_max):
 
     Returns the least k such that the k-th composition power of
     F((i,j);id) - F((j,i);id) vanishes, or None when no such k <= k_max
-    exists.  Every power reads one memo of the bracket
-    (:class:`pnsym.core.Rows`), so each key's product with it is computed
-    once per call.
+    exists.  The powers come from :func:`pnsym.core.composition_powers`,
+    which computes each key's product with the bracket once per call.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
     bracket = core.from_weak_term(1, ((i, j), (1, 2))) - core.from_weak_term(
         1, ((j, i), (1, 2))
     )
-    power = bracket
-    rows = core.Rows(bracket)
-    for k in range(1, k_max + 1):
+    # range comes first, so zip asks for no power past the k_max-th
+    for k, power in zip(range(1, k_max + 1), core.composition_powers(bracket)):
         if not power:
             return k
-        if k < k_max:
-            power = core.internal_mul(power, bracket, rows=rows)
     return None

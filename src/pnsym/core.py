@@ -20,8 +20,9 @@ order, through :func:`_add_product`, the kernel of ``external_mul``.  The
 products, the coproduct and the antipode sum ints and divide once per call
 (:func:`_cleared`); :meth:`_Combination.over` builds the final int or
 ``Fraction`` coefficients in that one pass.  Every memo lasts one call,
-except :class:`Rows`: a right factor's memo that its caller owns and passes
-to ``internal_mul`` for one ``k_value`` call or one composition power.
+except the base's memo (:class:`_Rows`) of one :func:`composition_powers`
+iteration, which computes each left key's product with the base once for
+all the powers.
 """
 
 import itertools
@@ -166,14 +167,13 @@ def internal_mul(f, g, *, rows=None):
 
     Without ``rows`` every memo lasts this call: each key of ``f`` meets
     ``g`` once, in :func:`_key_product`, through one ``shapes`` cache.
-    ``rows`` is a caller-owned :class:`Rows` memo built from ``g``: the
-    product is then the sum of the rows of ``f``'s keys, each computed once
-    for the life of the memo, and a memo built from another right factor
-    raises ``ValueError``.  Both paths give the same terms, with the same
-    int/``Fraction`` types.
+    ``rows`` is the private memo of ``g`` (:class:`_Rows`) that
+    :func:`composition_powers` keeps: the product is then the sum of the
+    rows of ``f``'s keys, each computed once for the whole iteration.  Both
+    paths give the same terms, with the same int/``Fraction`` types.
     """
     if rows is not None:
-        return rows.product(f, g)
+        return rows.product(f)
     shapes = {}
     f_terms, f_den = _cleared(f)
     g_terms, g_den = _cleared(g)
@@ -220,19 +220,34 @@ def _key_product(key, c, g_by_degree, shapes, terms):
             terms[out] = terms.get(out, 0) + cd
 
 
-class Rows:
-    """A right factor's memo for :func:`internal_mul`, owned by its caller.
+def composition_powers(base):
+    """Yield ``base``, ``base o base``, ... under :func:`internal_mul`, each
+    power when it is asked for, and stop after the first power that repeats
+    (zero repeats too): every step multiplies by the same base, so the power
+    stays the same from then on.  One memo of the base (:class:`_Rows`)
+    lives as long as the iteration, so each left key's product with the base
+    is computed once for all the powers.
+    """
+    memo = _Rows(base)
+    power = base
+    while True:
+        yield power
+        following = internal_mul(power, base, rows=memo)
+        if following == power:
+            return
+        power = following
 
-    It lasts as long as the caller keeps it: one ``k_value`` call or one
-    composition power.  It holds one ``shapes`` cache, each output key
-    interned to an int index, and each left key's row -- its product with
-    ``g`` -- as two flat tuples: the indices and the int coefficients.
+
+class _Rows:
+    """The base's memo of one :func:`composition_powers` iteration: one
+    ``shapes`` cache, each output key interned to an int index, and each left
+    key's row -- its product with the base -- as two flat tuples: the indices
+    and the int coefficients.
     """
 
-    __slots__ = ("g", "den", "g_by_degree", "shapes", "index", "keys", "rows")
+    __slots__ = ("den", "g_by_degree", "shapes", "index", "keys", "rows")
 
     def __init__(self, g):
-        self.g = g
         g_terms, self.den = _cleared(g)
         self.g_by_degree = _by_degree(g_terms)
         self.shapes = {}
@@ -240,12 +255,10 @@ class Rows:
         self.keys = []
         self.rows = {}
 
-    def product(self, f, g):
-        """``internal_mul(f, g)``: the rows of ``f``'s keys times their int
+    def product(self, f):
+        """``f`` times the base: the rows of ``f``'s keys times their int
         coefficients, summed over the int indices, then mapped back to keys
         and divided once."""
-        if g is not self.g and g != self.g:
-            raise ValueError("the memo was built from another right factor")
         f_terms, f_den = _cleared(f)
         rows = self.rows
         for key in f_terms:
@@ -262,7 +275,7 @@ class Rows:
         )
 
     def _row(self, key):
-        """F(key) times ``g``, as (indices, coefficients)."""
+        """F(key) times the base, as (indices, coefficients)."""
         terms = {}
         _key_product(key, 1, self.g_by_degree, self.shapes, terms)
         index, keys = self.index, self.keys

@@ -66,9 +66,8 @@ def _weak_pairs_up_to(size_max, length_max, max_zeros=None):
 
 
 def _generator_elements(model):
-    if isinstance(model, oracle.TriangularModel):
-        return [(comb.format_composition(g), model.gen(*g)) for g in model.generators()]
-    return [(f"y({a})", model.gen(a)) for a in model.generators()]
+    """The generators of a triangular model, labelled by their index pairs."""
+    return [(comb.format_composition(g), model.gen(*g)) for g in model.generators()]
 
 
 def _probe_elements(model):

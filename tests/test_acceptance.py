@@ -87,19 +87,23 @@ def test_criterion_1_rank_table():
 # -------------------------------------------------------------------------
 # 2. nilpotency table                                        (fast set < 1 min)
 
+# k(i, j): the least k with the k-th composition power of the bracket of p_i
+# and p_j zero
+NILPOTENCE_TABLE = {
+    (0, 5): 1,
+    (3, 3): 1,
+    (1, 2): 5,
+    (1, 3): 7,
+    (1, 4): 9,
+    (1, 5): 11,
+    (2, 3): 9,
+    (2, 4): 9,
+}
+
+
 def test_criterion_2_nilpotency_table():
     problems = []
-    table = {
-        (0, 5): 1,
-        (3, 3): 1,
-        (1, 2): 5,
-        (1, 3): 7,
-        (1, 4): 9,
-        (1, 5): 11,
-        (2, 3): 9,
-        (2, 4): 9,
-    }
-    for (i, j), expected in sorted(table.items()):
+    for (i, j), expected in sorted(NILPOTENCE_TABLE.items()):
         got = checker.k_value(i, j, 12)
         if got != expected:
             problems.append(f"k({i},{j}) = {got}, expected {expected}")

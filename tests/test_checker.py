@@ -28,6 +28,8 @@ from pnsym.checker import (
     to_text,
 )
 
+from test_acceptance import NILPOTENCE_TABLE
+
 
 F = core.basis
 
@@ -365,19 +367,57 @@ def test_k_value_frozen_entries():
 )
 def test_bracket_powers_support_sizes(i, j, sizes):
     # support size of each successive power of F((i,j);[1,2]) - F((j,i);[1,2]);
-    # the powers read through one memo of the bracket, as k_value's do, equal
-    # the plain ones key by key
+    # the powers composition_powers yields through its memo equal the plain
+    # repeated products key by key, and the iteration ends right after the
+    # zero power
     bracket = F((i, j), (1, 2)) - F((j, i), (1, 2))
-    rows = core.Rows(bracket)
-    power = memo_power = bracket
-    got = [len(power.terms)]
-    for _ in sizes[1:]:
-        power = core.internal_mul(power, bracket)
-        memo_power = core.internal_mul(memo_power, bracket, rows=rows)
+    power = None
+    got = []
+    for memo_power in core.composition_powers(bracket):
+        power = bracket if power is None else core.internal_mul(power, bracket)
         assert memo_power.terms == power.terms
         got.append(len(power.terms))
     assert got == sizes
     assert k_value(i, j, len(sizes)) == len(sizes)
+
+
+# criterion 2's fast set: its table and the symmetric entry (3,2)
+FAST_SET = [
+    (i, j, k)
+    for (i, j), k in sorted({**NILPOTENCE_TABLE, (3, 2): NILPOTENCE_TABLE[2, 3]}.items())
+]
+
+
+@pytest.mark.parametrize("i, j, expected", FAST_SET)
+def test_check_agrees_with_k_value_on_the_fast_set(i, j, expected):
+    k = k_value(i, j, 12)
+    assert k == expected
+    bracket = f"(F(({i},{j});[1,2]) - F(({j},{i});[1,2]))"
+    assert not check_zero_on_degree(f"{bracket}^{k - 1}", i + j).holds
+    assert check_zero_on_degree(f"{bracket}^{k}", i + j).holds
+
+
+@pytest.mark.parametrize("i, j, expected", FAST_SET)
+def test_the_free_model_recomputes_the_fast_set(i, j, expected):
+    # without core: the bracket's operator applied to x(1,i+j+1) until the
+    # image vanishes.  x(1,m+1) goes to one distinct monomial under each key of
+    # size m, so the k-th image has as many monomials as the k-th power has
+    # terms, and vanishes exactly when the power does
+    model = oracle.TriangularModel(i + j + 1)
+
+    def bracket(y):
+        return oracle.apply_pas(model, (i, j), (1, 2), y) - oracle.apply_pas(
+            model, (j, i), (1, 2), y
+        )
+
+    image = model.gen(1, i + j + 1)
+    sizes = []
+    while image and len(sizes) <= expected:  # bounded, should k be wrong
+        image = bracket(image)
+        sizes.append(len(image.terms))
+    assert not image and len(sizes) == expected
+    powers = core.composition_powers(F((i, j), (1, 2)) - F((j, i), (1, 2)))
+    assert sizes == [len(power.terms) for power in powers]
 
 
 def test_k_value_not_found_below_the_threshold():

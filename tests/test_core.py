@@ -321,7 +321,7 @@ def test_the_reference_bracket_power_cancels():
     assert not _reference_internal_mul(power, BRACKET)
 
 
-# a right factor's memo ----------------------------------------------------------
+# composition powers and their memo ---------------------------------------------
 
 def _typed(f):
     return {key: (type(c), c) for key, c in f.terms.items()}
@@ -336,24 +336,29 @@ def _typed(f):
 )
 @settings(max_examples=60, deadline=None)
 def test_one_memo_gives_every_plain_product(g, fs):
-    rows = core.Rows(g)
+    # composition_powers relies on this: one memo of the right factor serves
+    # different left factors
+    rows = core._Rows(g)
     for f in fs + [g, g]:
         assert _typed(core.internal_mul(f, g, rows=rows)) == _typed(core.internal_mul(f, g))
 
 
-def test_a_memo_serves_only_its_right_factor():
-    rows = core.Rows(BRACKET)
-    square = core.internal_mul(BRACKET, BRACKET)
-    assert core.internal_mul(BRACKET, BRACKET, rows=rows) == square
-    # an equal right factor is the same factor
-    assert core.internal_mul(BRACKET, BRACKET + ZERO, rows=rows) == square
-    with pytest.raises(ValueError):
-        core.internal_mul(BRACKET, 2 * BRACKET, rows=rows)
-    with pytest.raises(ValueError):
-        core.internal_mul(BRACKET, F((1, 2), (1, 2)), rows=rows)
+def test_a_memo_gives_the_square_and_is_keyword_only():
+    rows = core._Rows(BRACKET)
+    assert core.internal_mul(BRACKET, BRACKET, rows=rows) == core.internal_mul(BRACKET, BRACKET)
     # the memo is keyword-only, so that a caller's positional arguments stay (f, g)
     with pytest.raises(TypeError):
         core.internal_mul(BRACKET, BRACKET, rows)
+
+
+def test_an_idempotent_base_yields_one_power():
+    powers = core.composition_powers(F((2,), (1,)))
+    assert list(itertools.islice(powers, 3)) == [F((2,), (1,))]  # bounded, should it not stop
+
+
+def test_a_base_whose_powers_keep_changing_keeps_going():
+    powers = core.composition_powers(2 * F((1,), (1,)))
+    assert list(itertools.islice(powers, 5)) == [c * F((1,), (1,)) for c in (2, 4, 8, 16, 32)]
 
 
 # coproduct, counit, grading ---------------------------------------------------
