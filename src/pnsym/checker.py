@@ -13,7 +13,6 @@ that expansion is zero.  Everything is exact rational arithmetic — a verdict
 is a proof at that degree, not an approximation.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -414,8 +413,9 @@ def _expand(e, m):
     if isinstance(e, CompPower):
         if e.exponent == 0:
             return _expand_id(m)
+        # range, unlike islice, takes exponents beyond sys.maxsize
         powers = core.composition_powers(_expand(e.body, m))
-        for power in itertools.islice(powers, e.exponent):
+        for _, power in zip(range(e.exponent), powers):
             pass
         return power
     if isinstance(e, ConvPower):

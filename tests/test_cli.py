@@ -172,6 +172,16 @@ def test_check_stops_a_power_once_it_repeats(capsys):
     assert out == "holds\n"
 
 
+def test_check_takes_a_power_beyond_the_machine_word(capsys):
+    # a 30-digit exponent is past sys.maxsize; p2 is idempotent, so the
+    # power repeats at once and the exponent's size costs nothing
+    power = "p2^" + "9" * 30
+    code, out, err = run(capsys, "check", power, "--degree", "2")
+    assert (code, out, err) == (1, "fails: F((2);[1])\n", "")
+    code, out, err = run(capsys, "check", power + " - p2", "--degree", "2")
+    assert (code, out, err) == (0, "holds\n", "")
+
+
 def test_check_convolution_power_costs_at_most_degree_products(capsys):
     # id = ue + p1 + p2 on degree 2, so its n-th power there is
     # n p2 + C(n, 2) p1*p1; a power that keeps changing must not cost one
