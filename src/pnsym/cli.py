@@ -71,11 +71,11 @@ def _cmd_check(args):
     if verdict.holds:
         return 0, "holds", {"verdict": "holds", "degree": args.degree}
     coeff, key = verdict.witness
-    witness = core.format_element(core.PnsymElement({key: coeff}))
-    return 1, f"fails: {witness}", {
+    witness = core.PnsymElement({key: coeff})
+    return 1, f"fails: {core.format_element(witness)}", {
         "verdict": "fails",
         "degree": args.degree,
-        "witness": {"coeff": str(coeff), "alpha": list(key[0]), "sigma": list(key[1])},
+        "witness": core.element_to_json(witness)[0],
     }
 
 

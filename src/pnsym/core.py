@@ -19,10 +19,8 @@ direct-sum blocks gets the product of its blocks' antipodes in reverse
 order, through :func:`_add_product`, the kernel of ``external_mul``.  The
 products, the coproduct and the antipode sum ints and divide once per call
 (:func:`_cleared`); :meth:`_Combination.over` builds the final int or
-``Fraction`` coefficients in that one pass.  Every memo lasts one call,
-except the base's memo (:class:`_Rows`) of one :func:`composition_powers`
-iteration, which computes each left key's product with the base once for
-all the powers.
+``Fraction`` coefficients in that one pass.  The internal product has one
+kernel, the right factor's memo :class:`_Rows`.
 """
 
 import itertools
@@ -165,63 +163,15 @@ def internal_mul(f, g, *, rows=None):
     substitution permutation of t into s, then reduced.  Keys of unequal
     degree contribute nothing.
 
-    Without ``rows`` every memo lasts this call: each key of ``f`` meets
-    ``g`` once, in :func:`_key_product`, through one ``shapes`` cache.
-    ``rows`` is the private memo of ``g`` (:class:`_Rows`) that
-    :func:`composition_powers` keeps: the product is then the sum of the
-    rows of ``f``'s keys, each computed once for the whole iteration, and
-    ``g`` is ignored, the memo being of the base.  ``rows`` stays
-    keyword-only so that each power's product is still a call
-    ``internal_mul(f, g)`` with two positional arguments, which the
-    benchmarks' wrappers of this name record.  Both paths give the same
-    terms, with the same int/``Fraction`` types.
+    The product is the sum of the rows of ``f``'s keys in a memo of ``g``
+    (:class:`_Rows`).  ``rows`` sets only how long that memo lives: without
+    it, this call; :func:`composition_powers` passes the memo of its base,
+    so each row is computed once for the whole iteration, and ``g`` is
+    ignored.  ``rows`` stays keyword-only so that each power's product is
+    still a call ``internal_mul(f, g)`` with two positional arguments, which
+    the benchmarks' wrappers of this name record.
     """
-    if rows is not None:
-        return rows.product(f)
-    shapes = {}
-    f_terms, f_den = _cleared(f)
-    g_terms, g_den = _cleared(g)
-    g_by_degree = _by_degree(g_terms)
-    terms = {}
-    for key, c in f_terms.items():
-        _key_product(key, c, g_by_degree, shapes, terms)
-    return PnsymElement.over(terms, f_den * g_den)
-
-
-def _by_degree(g_terms):
-    """The right factor's ``(b, inverse(t), d)`` terms, listed by degree."""
-    g_by_degree = {}
-    for (b, t), d in g_terms.items():
-        g_by_degree.setdefault(sum(b), []).append((b, comb.inverse(t), d))
-    return g_by_degree
-
-
-def _key_product(key, c, g_by_degree, shapes, terms):
-    """Add ``c`` F(a;s) times the right factor ``g_by_degree`` into ``terms``.
-
-    The tables depend only on (a, b), so each shape is enumerated once per
-    ``shapes`` cache (:func:`_tables`).  The twist's inverse is built
-    directly, from the inverses of s and t.  Each table takes as its
-    permutation the twist standardized on its nonzero cells, from one walk
-    of the inverse: the kept cells are ranked 1, 2, ... in the order the
-    inverse visits them, each found through the table's slot array, so
-    nothing is sorted.
-    """
-    a, s = key
-    inv_s = comb.inverse(s)
-    for b, inv_t, d in g_by_degree.get(sum(a), ()):
-        cd = c * d
-        inv = comb.wreath_substitute(inv_s, inv_t)
-        for slot, alpha, k in _tables(a, b, shapes):
-            ranks = [0] * k
-            r = 0
-            for p in inv:
-                j = slot[p]
-                if j is not None:
-                    r += 1
-                    ranks[j] = r
-            out = (alpha, tuple(ranks))
-            terms[out] = terms.get(out, 0) + cd
+    return (_Rows(g) if rows is None else rows).product(f)
 
 
 def composition_powers(base):
@@ -243,26 +193,29 @@ def composition_powers(base):
 
 
 class _Rows:
-    """The base's memo of one :func:`composition_powers` iteration: one
-    ``shapes`` cache, each output key interned to an int index, and each left
-    key's row -- its product with the base -- as two flat tuples: the indices
-    and the int coefficients.
+    """A memo of the right factor, the one kernel of :func:`internal_mul`:
+    its ``(b, inverse(t), d)`` terms listed by degree, one ``shapes`` cache,
+    each output key interned to an int index, and each left key's row -- its
+    product with the right factor -- as two flat tuples: the indices and the
+    int coefficients.
     """
 
-    __slots__ = ("den", "g_by_degree", "shapes", "index", "keys", "rows")
+    __slots__ = ("den", "by_degree", "shapes", "index", "keys", "rows")
 
     def __init__(self, g):
         g_terms, self.den = _cleared(g)
-        self.g_by_degree = _by_degree(g_terms)
+        self.by_degree = {}
+        for (b, t), d in g_terms.items():
+            self.by_degree.setdefault(sum(b), []).append((b, comb.inverse(t), d))
         self.shapes = {}
         self.index = {}
         self.keys = []
         self.rows = {}
 
     def product(self, f):
-        """``f`` times the base: the rows of ``f``'s keys times their int
-        coefficients, summed over the int indices, then mapped back to keys
-        and divided once."""
+        """``f`` times the right factor: the rows of ``f``'s keys times their
+        int coefficients, summed over the int indices, then mapped back to
+        keys and divided once."""
         f_terms, f_den = _cleared(f)
         rows = self.rows
         for key in f_terms:
@@ -279,18 +232,37 @@ class _Rows:
         )
 
     def _row(self, key):
-        """F(key) times the base, as (indices, coefficients)."""
-        terms = {}
-        _key_product(key, 1, self.g_by_degree, self.shapes, terms)
-        index, keys = self.index, self.keys
-        indices = []
-        for out in terms:
-            i = index.get(out)
-            if i is None:
-                i = index[out] = len(keys)
-                keys.append(out)
-            indices.append(i)
-        return tuple(indices), tuple(terms.values())
+        """F(a;s) times the right factor, as (indices, coefficients).
+
+        The tables depend only on (a, b), so each shape is enumerated once
+        per memo (:func:`_tables`).  The twist's inverse is built directly,
+        from the inverses of s and t.  Each table takes as its permutation
+        the twist standardized on its nonzero cells, from one walk of the
+        inverse: the kept cells are ranked 1, 2, ... in the order the
+        inverse visits them, each found through the table's slot array, so
+        nothing is sorted.  Each output key is interned as it is found.
+        """
+        a, s = key
+        inv_s = comb.inverse(s)
+        index, keys, shapes = self.index, self.keys, self.shapes
+        row = {}
+        for b, inv_t, d in self.by_degree.get(sum(a), ()):
+            inv = comb.wreath_substitute(inv_s, inv_t)
+            for slot, alpha, k in _tables(a, b, shapes):
+                ranks = [0] * k
+                r = 0
+                for p in inv:
+                    j = slot[p]
+                    if j is not None:
+                        r += 1
+                        ranks[j] = r
+                out = (alpha, tuple(ranks))
+                i = index.get(out)
+                if i is None:
+                    i = index[out] = len(keys)
+                    keys.append(out)
+                row[i] = row.get(i, 0) + d
+        return tuple(row), tuple(row.values())
 
 
 def _cleared(f):
@@ -488,8 +460,9 @@ def _add_product(terms, f, g, shifts):
 
 
 def rank(n):
-    """Number of mopiscotions of size n: sum of C(n-1, n-k) * k! over k."""
-    total = term = 1
+    """Number of mopiscotions of size n: sum of C(n-1, n-k) * k! over k;
+    0 for n < 0, where there are none."""
+    total = term = 1 if n >= 0 else 0
     for k in range(1, n):  # term k+1 = term k * (n-k)(k+1)/k; k! divides term k
         term = term * (n - k) * (k + 1) // k
         total += term

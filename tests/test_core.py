@@ -17,6 +17,7 @@ from pnsym import combinatorics as comb
 from pnsym import core
 
 import hopf_reference
+import model_reference
 from hopf_reference import convolve_maps, tensor_mul, tensor_of
 from nsym_reference import (
     from_nsym,
@@ -321,6 +322,19 @@ def test_the_reference_bracket_power_cancels():
     assert not _reference_internal_mul(power, BRACKET)
 
 
+def test_every_internal_product_up_to_size_4_matches_the_free_model():
+    # the model side reads no core code: x(1,m+1)'s image of p_f(p_g(.))
+    # names the product's keys one monomial each
+    pairs = 0
+    for m in range(1, 5):
+        decoder = model_reference.Decoder(m)
+        for f, g in itertools.product(comb.mopiscotions(m), repeat=2):
+            got = core.internal_mul(core.PnsymElement({f: 1}), core.PnsymElement({g: 1}))
+            assert got.terms == decoder.composite(f, g), (f, g)
+            pairs += 1
+    assert pairs == 2532
+
+
 # composition powers and their memo ---------------------------------------------
 
 def _typed(f):
@@ -335,17 +349,19 @@ def _typed(f):
     [Fraction(3, 4) * F((1, 1), (1, 2)), F((1, 1), (1, 2)) + Fraction(1, 3) * F((2,), (1,))],
 )
 @settings(max_examples=60, deadline=None)
-def test_one_memo_gives_every_plain_product(g, fs):
+def test_one_shared_memo_gives_every_reference_product(g, fs):
     # composition_powers relies on this: one memo of the right factor serves
-    # different left factors
+    # different left factors, later ones reading rows earlier ones computed
     rows = core._Rows(g)
     for f in fs + [g, g]:
-        assert _typed(core.internal_mul(f, g, rows=rows)) == _typed(core.internal_mul(f, g))
+        got = core.internal_mul(f, g, rows=rows)
+        assert _typed(got) == _typed(_reference_internal_mul(f, g))
 
 
 def test_a_memo_gives_the_square_and_is_keyword_only():
     rows = core._Rows(BRACKET)
-    assert core.internal_mul(BRACKET, BRACKET, rows=rows) == core.internal_mul(BRACKET, BRACKET)
+    got = core.internal_mul(BRACKET, BRACKET, rows=rows)
+    assert _typed(got) == _typed(_reference_internal_mul(BRACKET, BRACKET))
     # the memo is keyword-only, so that a caller's positional arguments stay (f, g)
     with pytest.raises(TypeError):
         core.internal_mul(BRACKET, BRACKET, rows)
@@ -568,7 +584,7 @@ def test_rank_table():
 
 
 def test_rank_matches_enumeration():
-    for n in range(7):
+    for n in range(-3, 7):
         assert core.rank(n) == len(list(comb.mopiscotions(n)))
 
 

@@ -50,6 +50,12 @@ def test_oracle_imports_only_combinatorics_from_pnsym():
     assert _pnsym_modules(ast.parse(path.read_text())) <= {"combinatorics"}
 
 
+def test_the_model_reference_reads_no_core():
+    # tests/model_reference.py checks core.internal_mul from the free model
+    path = pathlib.Path(__file__).parent / "model_reference.py"
+    assert _pnsym_modules(ast.parse(path.read_text())) == {"combinatorics", "oracle"}
+
+
 def test_import_scan_sees_every_spelling_of_core():
     for source in [
         "from . import core",
