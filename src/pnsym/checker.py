@@ -26,8 +26,8 @@ from .combinatorics import ParseError
 # syntax trees.  Subclasses inherit their base's frozen dataclass methods;
 # dataclass equality compares classes exactly, so Sum(a, b) != Difference(a, b).
 
-# binding levels, loosest first; the parser and the printer both read them
-_LEVEL_SUM, _LEVEL_CONV, _LEVEL_COMP, _LEVEL_POWER, _LEVEL_ATOM = 1, 2, 3, 4, 5
+# binding levels, loosest first; the parser reads them
+_LEVEL_SUM, _LEVEL_CONV, _LEVEL_COMP, _LEVEL_POWER = 1, 2, 3, 4
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,9 @@ def _tokens(text):
 
 
 # Bound on the syntax tree's depth and on open parentheses.  The parser
-# nests about ten frames per open parenthesis, to_text and expand one or two
-# per tree level; this bound keeps all three inside Python's default
-# recursion limit of 1000 frames.
+# nests about ten frames per open parenthesis, and expand one or two per tree
+# level; this bound keeps both inside Python's default recursion limit of
+# 1000 frames.
 MAX_DEPTH = 64
 
 
@@ -295,42 +295,6 @@ def _parse_primary(ts):
         ts.open_parens -= 1
         return node
     raise ParseError("expected an operator expression", pos)
-
-
-# ---------------------------------------------------------------------------
-# printing (round-trips through parse up to tree equality)
-
-def to_text(e):
-    return _print(e, _LEVEL_SUM)
-
-
-def _print(e, min_level):
-    text = _print_raw(e)
-    needs_parens = getattr(e, "level", _LEVEL_ATOM) < min_level or (
-        # a bare leading minus would re-associate at the sum level
-        isinstance(e, ScalarMul)
-        and e.coeff < 0
-        and min_level > _LEVEL_SUM
-    )
-    if needs_parens:
-        return f"({text})"
-    return text
-
-
-def _print_raw(e):
-    if isinstance(e, Proj):
-        return f"p{e.n}"
-    if isinstance(e, _Named):
-        return e.name
-    if isinstance(e, Basis):
-        return "F" + comb.format_pair(e.alpha, e.sigma)
-    if isinstance(e, ScalarMul):
-        return f"{e.coeff} {_print(e.body, _LEVEL_ATOM)}"
-    if isinstance(e, _Binary):
-        return f"{_print(e.left, e.level)} {e.symbol} {_print(e.right, e.level + 1)}"
-    if isinstance(e, _Power):
-        return f"{_print(e.body, _LEVEL_ATOM)}{e.symbol}{e.exponent}"
-    raise TypeError(f"not an operator expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------

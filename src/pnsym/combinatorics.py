@@ -204,7 +204,9 @@ def contingency_tables(alpha, beta):
     Tables come in lexicographic order of the flattening; none when the sums
     disagree, one, ``((), ())``, for alpha = beta = ().  A dynamic program on
     (row index, remaining column budgets), memoized for the call, builds them
-    all before the first is yielded; the last row takes the budgets left.
+    all before the first is yielded.  The last row takes the budgets left, so
+    the penultimate row attaches it to each of its fills directly, and a
+    row's tails already in the memo are read without a call.
     """
     alpha, beta = tuple(alpha), tuple(beta)
     if sum(alpha) != sum(beta):
@@ -212,28 +214,51 @@ def contingency_tables(alpha, beta):
     last, l = len(alpha) - 1, len(beta)
     memo = {}
 
+    def with_last_row(fills):
+        # each fill of the rows above the last, completed by the budgets left
+        base = last * l
+        return [
+            (cells + tuple([base + j for j, b in enumerate(rest) if b]),
+             values + tuple([b for b in rest if b]))
+            for cells, values, rest in fills
+        ]
+
     def tables(i, budgets):
-        # the fills of rows i.. under ``budgets``
-        found = memo.get((i, budgets))
-        if found is None:
-            if i == last:
-                found = [(tuple(i * l + j for j, b in enumerate(budgets) if b),
-                          tuple(b for b in budgets if b))]
-            else:
-                found = [
-                    (cells + tail_cells, values + tail_values)
-                    for cells, values, rest in _row_fills(alpha[i], budgets, i * l)
-                    for tail_cells, tail_values in tables(i + 1, rest)
-                ]
-            memo[i, budgets] = found
+        # the fills of rows i.. under ``budgets``, for i < last
+        fills = _row_fills(alpha[i], budgets, i * l)
+        if i + 1 == last:
+            found = with_last_row(fills)
+        else:
+            found = []
+            for cells, values, rest in fills:
+                tails = memo.get((i + 1, rest))
+                if tails is None:
+                    tails = tables(i + 1, rest)
+                found += [(cells + tail_cells, values + tail_values)
+                          for tail_cells, tail_values in tails]
+        memo[i, budgets] = found
         return found
 
-    yield from tables(0, beta) if alpha else [((), ())]
+    if not alpha:
+        yield (), ()
+    else:
+        yield from tables(0, beta) if last else with_last_row([((), (), beta)])
 
 
 def _row_fills(total, budgets, base):
     """The rows ``0 <= r <= budgets`` with sum ``total``, in lex order, as
-    ``(cells, values, budgets - r)``, the cells numbered from ``base``."""
+    ``(cells, values, budgets - r)``, the cells numbered from ``base``.
+
+    A row of total 1 is one 1 in a column with budget left; lex order puts
+    the rightmost first, so one right-to-left sweep lists them.  Other rows
+    grow column by column from the left.
+    """
+    if total == 1:
+        return [
+            ((base + j,), (1,), budgets[:j] + (b - 1,) + budgets[j + 1:])
+            for j in range(len(budgets) - 1, -1, -1)
+            if (b := budgets[j])
+        ]
     fills = [((), (), (), total)]
     after = sum(budgets)
     for cell, b in enumerate(budgets, base):

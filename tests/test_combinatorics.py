@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pnsym import combinatorics as comb
 
@@ -349,12 +349,35 @@ def test_contingency_tables_match_reference_in_order():
                 assert all(len(cells) == len(values) and all(values) for cells, values in got)
 
 
+def test_contingency_tables_match_reference_on_deep_tables_of_seven():
+    # degree 7 lies past the exhaustive check above.  Row sums of 5 or more
+    # parts give the deepest tables and the most rows of total 1; column sums
+    # of at most 3 parts keep the reference's plain recursion quick
+    for alpha in comb.compositions(7):
+        if len(alpha) >= 5:
+            for beta in comb.compositions(7):
+                if len(beta) <= 3:
+                    assert dense_tables(alpha, beta) == list(reference_tables(alpha, beta))
+
+
 @given(
     st.lists(st.integers(0, 3), max_size=3).map(tuple),
     st.lists(st.integers(0, 3), max_size=3).map(tuple),
 )
+@example((2,), (0, 2))  # one row: the only table is the column sums
+@example((1, 2), (2, 1))  # two rows: the first is the penultimate
+@example((2, 0, 1), (1, 2))  # the penultimate row sums to zero
+@example((1, 2), (1, 0, 2))  # a row of total 1 beside a zero budget
 def test_contingency_tables_match_reference_on_weak_sums(alpha, beta):
     assert dense_tables(alpha, beta) == list(reference_tables(alpha, beta))
+
+
+@pytest.mark.parametrize("alpha, beta", [((), ()), ((3,), (1, 2)), ((1, 1), (2,)), ((1, 2), (3, 1))])
+def test_contingency_tables_returns_an_iterator(alpha, beta):
+    # perfbench/tracer.py wraps contingency_tables as a generator and calls
+    # next() on what it returns, so a list would break a traced run
+    tables = comb.contingency_tables(alpha, beta)
+    assert iter(tables) is tables
 
 
 def test_contingency_tables_marginals():

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from pnsym import checker, cli, core
 from pnsym import combinatorics as comb
 
+from test_checker import to_text
+
 PARSERS = (
     (comb.parse_pair, ""),
     (core.parse_element, "F"),
@@ -101,7 +103,7 @@ def test_expressions_at_the_depth_bound_parse_print_and_expand():
     chain = " + ".join(["p1"] * depth)
     for text in (parens, chain):
         tree = checker.parse(text)
-        assert checker.parse(checker.to_text(tree)) == tree
+        assert checker.parse(to_text(tree)) == tree
         assert checker.expand(tree, 1)
     assert position(checker.parse, "(" + parens + ")") == depth
     longer = chain + " + p1"
