@@ -40,10 +40,12 @@ Layers, each timed alone on fixed inputs:
   run starts cold.  Its call count is the number of cases it runs.
 
 The inputs are recorded once, before any timing, and are the same for any
-tree that computes the same products, except the ``apply_pas`` layer's: it
-replays the calls the timed tree's family makes, so a tree that calls
-``apply_pas`` less often replays fewer calls (``layer_calls`` says how
-many).
+tree that computes the same products, except the ``apply_pas`` and
+``contingency_tables`` layers': they replay the calls the timed tree makes,
+so a tree that calls ``apply_pas`` or ``contingency_tables`` less often
+replays fewer calls (``layer_calls`` says how many).  A tree that computes
+the products with an all-ones factor in closed form enumerates no tables
+for them.
 """
 
 import argparse
@@ -156,7 +158,7 @@ def layer_runs(checker, comb, core, oracle, verify):
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import Hopf
 
-    stream = Hopf(HOPF_SEED)
+    stream = Hopf(HOPF_SEED, core.__package__)  # inputs of the timed tree's own classes
     calls = [stream.next_call() for _ in range(HOPF_CALLS)]
     hopf = {name: [args for op, _, args, _ in calls if op == name]
             for name in ("mul", "imul", "coproduct", "antipode")}

@@ -8,7 +8,10 @@ coefficient equality.  Three products/coproducts live here:
 * :func:`external_mul` -- concatenate compositions, direct-sum permutations
   (mirrors convolution of the twisted operators);
 * :func:`internal_mul` -- sum over contingency tables (mirrors composition),
-  each table's twist ranked by one walk of the twist's inverse;
+  each table's twist ranked by one walk of the twist's inverse; when either
+  side is all ones, F(1^n; .), a sum over shuffles instead, the classical
+  case of Solomon's Mackey formula: each row or each column holds a single
+  1, so the ranks are read off t, or (t, s), with no tables and no walk;
 * :func:`coproduct` -- entrywise decompositions of the composition.
 
 The antipode and the coproduct read one splitting kernel,
@@ -161,7 +164,12 @@ def internal_mul(f, g, *, rows=None):
     F(a;s) * F(b;t) sums F(flatten(T); tau-of-T) over all tables T with row
     sums a and column sums b, each flattened row-major and paired with the
     substitution permutation of t into s, then reduced.  Keys of unequal
-    degree contribute nothing.
+    degree contribute nothing.  When a or b is all ones the sum collapses to
+    one over shuffles, which is how it is computed (:meth:`_Rows._row`):
+    F(a;s) * F(1^n;t) is the sum of F(1^n; t o w) over the w in W(a), and
+    F(1^n;s) * F(b;t) the sum of F(1^n; u^-1 o s) over the u in
+    W(b o t^-1), W(c) being the permutations that increase on each block of
+    c (:func:`_shuffles`).
 
     The product is the sum of the rows of ``f``'s keys in a memo of ``g``
     (:class:`_Rows`).  ``rows`` sets only how long that memo lives: without
@@ -194,10 +202,18 @@ def composition_powers(base):
 
 class _Rows:
     """A memo of the right factor, the one kernel of :func:`internal_mul`:
-    its ``(b, inverse(t), d)`` terms listed by degree, one ``shapes`` cache,
-    each output key interned to an int index, and each left key's row -- its
-    product with the right factor -- as two flat tuples: the indices and the
-    int coefficients.
+    its terms F(b;t) d listed by degree, each as ``(b, (0,) + t,
+    inverse(t), b o t^-1, d)`` (``(0,) + t`` maps x to t(x), and
+    ``b o t^-1`` lists b's parts in the order t ranks them), one ``shapes``
+    cache, each output key interned to an int index, and each left key's
+    row -- its product with the right factor -- as two flat tuples: the
+    indices and the int coefficients.
+
+    ``shapes`` holds each ``(a, b)`` shape's tables (:func:`_tables`) and,
+    for the products with an all-ones factor, the shuffles W(c)
+    (:func:`_shuffles`) under ``("W", c)`` and their inverses under
+    ``("W inverse", c)``; a shape key starts with a tuple, these with a
+    str, so they never collide.
     """
 
     __slots__ = ("den", "by_degree", "shapes", "index", "keys", "rows")
@@ -206,7 +222,9 @@ class _Rows:
         g_terms, self.den = _cleared(g)
         self.by_degree = {}
         for (b, t), d in g_terms.items():
-            self.by_degree.setdefault(sum(b), []).append((b, comb.inverse(t), d))
+            inv_t = comb.inverse(t)
+            ranked = tuple([b[j - 1] for j in inv_t])
+            self.by_degree.setdefault(sum(b), []).append((b, (0,) + t, inv_t, ranked, d))
         self.shapes = {}
         self.index = {}
         self.keys = []
@@ -234,19 +252,54 @@ class _Rows:
     def _row(self, key):
         """F(a;s) times the right factor, as (indices, coefficients).
 
-        The tables depend only on (a, b), so each shape is enumerated once
-        per memo (:func:`_tables`).  The twist's inverse is built directly,
-        from the inverses of s and t.  Each table takes as its permutation
-        the twist standardized on its nonzero cells, from one walk of the
-        inverse: the kept cells are ranked 1, 2, ... in the order the
-        inverse visits them, each found through the table's slot array, so
-        nothing is sorted.  Each output key is interned as it is found.
+        A key pair with an all-ones side is read from a closed form, with no
+        tables and no walk; W(c) is :func:`_shuffles`:
+
+        * (R) F(a;s) o F(1^n;t) = sum of F(1^n; t o w) over w in W(a).  Each
+          column of each table holds one 1, so its cell ranks as t_C alone,
+          and the row-major columns of the kept cells are a w in W(a); the
+          sum does not depend on s, and when a = 1^n too it is every F(1^n; w),
+          since t o S_n = S_n.
+        * (L) F(1^n;s) o F(b;t) = sum of F(1^n; u^-1 o s) over u in W(c),
+          c_r = b_(t^-1(r)).  Each row holds one 1, ranked by (t_C, s_R):
+          the rows sorted by rank read, through s, a u in W(c).
+
+        Any other pair walks its tables.  They depend only on (a, b), so
+        each shape is enumerated once per memo (:func:`_tables`).  The
+        twist's inverse is built directly, from the inverses of s and t.
+        Each table takes as its permutation the twist standardized on its
+        nonzero cells, from one walk of the inverse: the kept cells are
+        ranked 1, 2, ... in the order the inverse visits them, each found
+        through the table's slot array, so nothing is sorted.  Each output
+        key is interned as it is found.
         """
         a, s = key
-        inv_s = comb.inverse(s)
+        n = sum(a)
+        inv_s = s_at = None
         index, keys, shapes = self.index, self.keys, self.shapes
         row = {}
-        for b, inv_t, d in self.by_degree.get(sum(a), ()):
+        for b, t_at, inv_t, ranked, d in self.by_degree.get(n, ()):
+            if len(b) == n or len(a) == n:
+                if len(b) == n:  # (R): sum of F(1^n; t o w) over w in W(a)
+                    if len(a) == n:  # W(1^n) = S_n = t o S_n
+                        outs = [(b, w) for w in _shuffles(a, shapes)]
+                    else:
+                        outs = [(b, tuple(map(t_at.__getitem__, w)))
+                                for w in _shuffles(a, shapes)]
+                else:  # (L): sum of F(1^n; u^-1 o s) over u in W(b o t^-1)
+                    if s_at is None:
+                        s_at = [x - 1 for x in s]  # v[s_at[r]] = v(s(r + 1))
+                    outs = [(a, tuple(map(v.__getitem__, s_at)))
+                            for v in _shuffles(ranked, shapes, True)]
+                for out in outs:
+                    i = index.get(out)
+                    if i is None:
+                        i = index[out] = len(keys)
+                        keys.append(out)
+                    row[i] = row.get(i, 0) + d
+                continue
+            if inv_s is None:
+                inv_s = comb.inverse(s)
             inv = comb.wreath_substitute(inv_s, inv_t)
             for slot, alpha, k in _tables(a, b, shapes):
                 ranks = [0] * k
@@ -292,6 +345,35 @@ def _tables(a, b, shapes):
                 slot[i + 1] = j
             tables.append((slot, alpha, len(alpha)))
     return tables
+
+
+def _shuffles(c, shapes, inverse=False):
+    """W(c): the permutations of [n], n = sum(c), that increase on each
+    consecutive block of sizes c_1, c_2, ..., or with ``inverse`` their
+    inverses.  There are multinomial(n; c) of them, all of S_n when
+    c = 1^n.  ``shapes`` is the caller's cache (see :class:`_Rows`).
+
+    The first block takes each set of c_1 values, in lexicographic order,
+    and the other blocks follow W(c_2, c_3, ...) on the values left, so
+    each w is one relabeling of a shorter one; an all-ones c is every
+    permutation.
+    """
+    key = ("W inverse" if inverse else "W", c)
+    found = shapes.get(key)
+    if found is None:
+        n = sum(c)
+        if inverse:
+            found = [comb.inverse(w) for w in _shuffles(c, shapes)]
+        elif len(c) == n:
+            found = list(itertools.permutations(range(1, n + 1)))
+        else:
+            x, rest = c[0], _shuffles(c[1:], shapes)
+            found = []
+            for block in itertools.combinations(range(1, n + 1), x):
+                at = [0] + [v for v in range(1, n + 1) if v not in block]  # 1-based
+                found += [block + tuple(map(at.__getitem__, w)) for w in rest]
+        shapes[key] = found
+    return found
 
 
 def degree_component(f, n):

@@ -377,6 +377,80 @@ def test_a_base_whose_powers_keep_changing_keeps_going():
     assert list(itertools.islice(powers, 5)) == [c * F((1,), (1,)) for c in (2, 4, 8, 16, 32)]
 
 
+# products with an all-ones factor, read from closed forms --------------------------
+
+@pytest.mark.parametrize("n", range(5))
+def test_all_ones_times_all_ones_is_every_permutation(n):
+    ones = (1,) * n
+    every = core.PnsymElement.sum(
+        ((ones, p), 1) for p in itertools.permutations(range(1, n + 1))
+    )
+    for s, t in itertools.product(itertools.permutations(range(1, n + 1)), repeat=2):
+        assert core.internal_mul(F(ones, s), F(ones, t)) == every, (s, t)
+
+
+def test_a_product_with_all_ones_on_the_right_does_not_depend_on_s():
+    for n in range(1, 5):
+        ones = (1,) * n
+        for t in itertools.permutations(range(1, n + 1)):
+            products = {}
+            for a, s in KEYS_BY_DEGREE[n]:
+                got = core.internal_mul(F(a, s), F(ones, t))
+                assert products.setdefault(a, got) == got, (a, s, t)
+
+
+def _all_ones_cases():
+    """Key pairs with an all-ones side, each with two coefficients: at size
+    5, every composition against 1^5 on either side with nine seeded pairs
+    of permutations; at size 6, 15 seeded pairs on either side."""
+    rng = random.Random(20261020)
+    coeffs = (1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+    def key(a):
+        return a, tuple(rng.sample(range(1, len(a) + 1), len(a)))
+
+    five = [a for a in comb.compositions(5) for _ in range(9)]
+    six = list(comb.compositions(6))
+    for right in (True, False):
+        for a in five + rng.choices(six, k=15):
+            ones = (1,) * sum(a)
+            key1, key2 = (key(a), key(ones)) if right else (key(ones), key(a))
+            yield key1, rng.choice(coeffs), key2, rng.choice(coeffs)
+    # 1^5 against 1^5, and a left 1^5 against right sums (1,4) and (4,1),
+    # whose twists t order the column blocks both ways
+    for s, t in itertools.product([(3, 1, 5, 2, 4), (1, 2, 3, 4, 5)], repeat=2):
+        yield ((1,) * 5, s), 1, ((1,) * 5, t), Fraction(-1, 2)
+    for b in ((1, 4), (4, 1)):
+        for t in ((1, 2), (2, 1)):
+            yield ((1,) * 5, (2, 5, 1, 4, 3)), 2, (b, t), 1
+
+
+def test_products_with_an_all_ones_side_match_the_reference():
+    for key1, c1, key2, c2 in _all_ones_cases():
+        f, g = core.PnsymElement({key1: c1}), core.PnsymElement({key2: c2})
+        got = core.internal_mul(f, g)
+        assert _typed(got) == _typed(_reference_internal_mul(f, g)), (key1, key2)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_each_shuffle_list_is_the_blockwise_increasing_permutations(n):
+    for c in comb.compositions(n):
+        shapes = {}
+        found = core._shuffles(c, shapes)
+        assert len(found) == math.factorial(n) // math.prod(map(math.factorial, c)), c
+        assert len(set(found)) == len(found)
+        ends = list(itertools.accumulate(c))
+        for w in found:
+            assert sorted(w) == list(range(1, n + 1))
+            for start, end in zip([0] + ends, ends):
+                assert list(w[start:end]) == sorted(w[start:end]), (c, w)
+        # both lists share the one cache, under keys of their own
+        inverses = core._shuffles(c, shapes, True)
+        assert inverses == [comb.inverse(w) for w in found]
+        assert core._shuffles(c, shapes) is found
+        assert core._shuffles(c, shapes, True) is inverses
+
+
 # coproduct, counit, grading ---------------------------------------------------
 
 def test_coproduct_frozen():
@@ -662,6 +736,12 @@ for _ in range(30):
     core.internal_mul(f, g)
     core.coproduct(f)
     core.antipode(g)
+# products with an all-ones factor on either side, read from the W(c) lists
+ones = core.basis((1,) * 5, (3, 1, 5, 2, 4))
+other = core.basis((2, 1, 2), (2, 3, 1)) - 2 * core.basis((1, 4), (2, 1))
+core.internal_mul(ones, other)
+core.internal_mul(other, ones)
+core.internal_mul(ones, ones)
 checks()
 once = sizes()
 checks()
