@@ -1,29 +1,42 @@
-"""Time pnsym end to end and layer by layer, and append the result to a
-``BENCH_<n>.json`` file.
+"""Time this checkout's pnsym against another tree's, end to end and layer by
+layer, in interleaved pairs, and append both to a ``BENCH_<n>.json`` file.
 
 Run from anywhere, standard library only::
 
-    python3 bench/run.py BENCH_<n>.json LABEL [--src DIR]
+    python3 bench/run.py BENCH_<n>.json LABEL OTHER_SRC [--pairs N]
 
-``--src`` is the directory holding the ``pnsym`` package to time (default:
-this checkout's ``src``), so that two trees can be recorded side by side in
-one file; the acceptance suite timed is the one in the ``tests`` directory
-beside it.  The package is byte-compiled first, as perfbench does, so that
-no timed start-up compiles it.  Each timing is the median of 5 runs.  The
-entry records the CPU count and the Python version.
+``OTHER_SRC`` is the directory holding the other tree's ``pnsym`` package,
+such as ``src`` in a copy of another commit made by ``git archive <rev> src
+tests``; its acceptance suite is the one in ``OTHER_SRC/../tests``.  To
+snapshot one tree, run it against a copy of itself: the ratios then measure
+the A/A band, how far one tree reads from itself.  Both packages are
+byte-compiled first, as perfbench does, so that no timed start-up compiles
+them.
 
-End to end, each run a fresh process: ``pnsym ktable`` on (1,5), (2,4) and
-(1,6), the default ``pnsym verify``, and the acceptance suite as
-``python -m pytest -q -p no:cacheprovider tests/test_acceptance.py``.
-Layers, each timed alone on fixed inputs:
+Every row is timed in N pairs (default 15), one run of each tree per pair,
+the two trees taking turns going first; one untimed run of each warms up.
+The entry holds, per row, both trees' median times in seconds, the median
+ratio this/other, its quartiles, and the pairs each tree won, ties counting
+for neither; a ratio below 1 means this tree is faster.  It also records
+the CPU count, the Python version and N.
+
+End to end, each run a fresh process timed by its CPU time (user plus
+system, read from ``resource.getrusage(RUSAGE_CHILDREN)``): ``python -c
+"import pnsym.cli"``, ``pnsym rank 7``, ``pnsym ktable`` on (1,5), (2,4) and
+(1,6), the default ``pnsym verify``, and the acceptance suite as ``python -m
+pytest -q -p no:cacheprovider tests/test_acceptance.py``.
+
+Layers, each timed alone on fixed inputs by ``time.process_time``, both
+trees imported in this process (this checkout's as ``pnsym``, the other as
+``pnsym_other``, as perfbench imports its frozen reference as
+``pnsym_ref``):
 
 * ``internal_mul`` -- the ``imul`` calls among the first 800 calls of
   perfbench's hopf stream at seed 1, and the products that build the
   composition powers of k(1,5), replayed without the bracket's memo, so
   that each power is computed from scratch;
 * ``k_value`` -- ``checker.k_value`` on (1,5) and (2,4) with ktable's
-  default bound of 12, in process: the powers with the memo their call
-  builds;
+  default bound of 12: the powers with the memo their call builds;
 * ``contingency_tables`` -- every (row sums, column sums) call those
   ``internal_mul`` calls make, in their order, each stream read to its end;
 * ``external_mul``, ``coproduct`` and ``antipode`` -- the ``mul``,
@@ -33,27 +46,28 @@ Layers, each timed alone on fixed inputs:
   for each run, so that no run reads the letter splittings or the word
   coproducts another run memoized;
 * ``verify`` -- ``verify.run_family`` at the default bounds for each family
-  in ``VERIFY_FAMILIES`` below (``composition-expansion``,
-  ``convolution-concatenation``, ``projection-convolution``,
-  ``reduction-invariance`` and ``wreath-associativity``), in process.  A
-  family run builds its own models and keeps nothing past its end, so every
-  run starts cold.  Its call count is the number of cases it runs.
+  in ``VERIFY_FAMILIES`` below.  A family run builds its own models and
+  keeps nothing past its end, so every run starts cold.  Its call count is
+  the number of cases it runs.
 
-The inputs are recorded once, before any timing, and are the same for any
-tree that computes the same products, except the ``apply_pas`` and
-``contingency_tables`` layers': they replay the calls the timed tree makes,
-so a tree that calls ``apply_pas`` or ``contingency_tables`` less often
-replays fewer calls (``layer_calls`` says how many).  A tree that computes
-the products with an all-ones factor in closed form enumerates no tables
-for them.
+Each tree's inputs are built from its own modules, once, before any timing.
+They are the same for any two trees that compute the same products, except
+the ``apply_pas`` and ``contingency_tables`` layers': they replay the calls
+each tree makes, so a tree that calls ``apply_pas`` or
+``contingency_tables`` less often replays fewer calls.  A layer row records
+both trees' call counts.
 """
 
 import argparse
 import compileall
 import contextlib
+import gc
+import importlib
+import importlib.util
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -72,36 +86,20 @@ VERIFY_FAMILIES = (
     "reduction-invariance",
     "wreath-associativity",
 )
-RUNS = 5
+MODULES = ("checker", "combinatorics", "core", "oracle", "verify")
 
 
-def median_time(fn):
-    times = []
-    for _ in range(RUNS):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
-def pnsym(src, *argv):
-    """One ``pnsym`` command in a fresh process."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys; from pnsym.cli import main; sys.exit(main(sys.argv[1:]))"
-    subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        env=env, check=True, stdout=subprocess.DEVNULL,
+def load(name, src):
+    """The ``pnsym`` package in ``src``, imported under ``name``: its
+    modules in ``layer_runs``'s order."""
+    init = src / "pnsym" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
     )
-
-
-def acceptance(src):
-    """The acceptance suite of the tree holding ``src``, in a fresh process."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_acceptance.py"],
-        cwd=src.parent, env=env, check=True, stdout=subprocess.DEVNULL,
-    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return [importlib.import_module(f"{name}.{module}") for module in MODULES]
 
 
 @contextlib.contextmanager
@@ -197,37 +195,105 @@ def layer_runs(checker, comb, core, oracle, verify):
     }
 
 
+def end_to_end_runs(src):
+    """Each end-to-end timing, by name: a run of one fresh process on the
+    tree holding ``src``, returning the process's CPU time."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cli = [sys.executable, "-c",
+           "import sys; from pnsym.cli import main; sys.exit(main(sys.argv[1:]))"]
+    commands = {
+        "import pnsym.cli": [sys.executable, "-c", "import pnsym.cli"],
+        "rank 7": [*cli, "rank", "7"],
+        **{f"ktable {i} {j}": [*cli, "ktable", str(i), str(j)] for i, j in KTABLE},
+        "verify": [*cli, "verify"],
+        "acceptance": [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                       "tests/test_acceptance.py"],
+    }
+
+    def child_cpu_time(argv):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        subprocess.run(argv, cwd=src.parent, env=env, check=True, stdout=subprocess.DEVNULL)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+
+    return {name: lambda argv=argv: child_cpu_time(argv) for name, argv in commands.items()}
+
+
+def cpu_time(run):
+    """A run of ``run`` in this process, returning its CPU time."""
+    def timed():
+        gc.collect()
+        t0 = time.process_time()
+        run()
+        return time.process_time() - t0
+    return timed
+
+
+def pairs(timed, other_timed, n):
+    """``n`` pairs of (this time, other time), alternating which goes first,
+    after one untimed run of each."""
+    timed()
+    other_timed()
+    out = []
+    for i in range(n):
+        if i % 2:
+            other = other_timed()
+            out.append((timed(), other))
+        else:
+            this = timed()
+            out.append((this, other_timed()))
+    return out
+
+
+def summary(times):
+    """One row of the entry from its (this, other) pairs."""
+    this, other = zip(*times)
+    ratios = [a / b for a, b in times]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    return {
+        "this_s": statistics.median(this),
+        "other_s": statistics.median(other),
+        "ratio": median,
+        "q1": q1,
+        "q3": q3,
+        "wins": [sum(a < b for a, b in times), sum(a > b for a, b in times)],
+    }
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", type=Path, help="the BENCH_<n>.json file to append to")
-    ap.add_argument("label", help="what the entry measures, e.g. a commit")
-    ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("label", help="what the entry compares, e.g. two commits")
+    ap.add_argument("other", type=Path, metavar="OTHER_SRC",
+                    help="the directory holding the other pnsym package")
+    ap.add_argument("--pairs", type=int, default=15)
     args = ap.parse_args(argv)
-    src = args.src.resolve()
-    if not compileall.compile_dir(str(src / "pnsym"), quiet=1):
-        sys.exit("error: the pnsym sources do not compile")
-
-    sys.path.insert(0, str(src))
-    from pnsym import checker, combinatorics as comb, core, oracle, verify
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+    trees = (ROOT / "src", args.other.resolve())
+    for src in trees:
+        if not (src / "pnsym" / "__init__.py").is_file():
+            ap.error(f"no pnsym package in {src}")
+        if not compileall.compile_dir(str(src / "pnsym"), quiet=1):
+            ap.error(f"the pnsym sources in {src} do not compile")
 
     entry = {
         "label": args.label,
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
-        "runs": RUNS,
-        "end_to_end_s": {},
-        "layers_s": {},
-        "layer_calls": {},
+        "pairs": args.pairs,
+        "end_to_end": {},
+        "layers": {},
     }
-    for i, j in KTABLE:
-        entry["end_to_end_s"][f"ktable {i} {j}"] = median_time(
-            lambda: pnsym(src, "ktable", str(i), str(j))
-        )
-    entry["end_to_end_s"]["verify"] = median_time(lambda: pnsym(src, "verify"))
-    entry["end_to_end_s"]["acceptance"] = median_time(lambda: acceptance(src))
-    for name, (run, calls) in layer_runs(checker, comb, core, oracle, verify).items():
-        entry["layer_calls"][name] = calls
-        entry["layers_s"][name] = median_time(run)
+    this, other = (end_to_end_runs(src) for src in trees)
+    for name in this:
+        entry["end_to_end"][name] = summary(pairs(this[name], other[name], args.pairs))
+    this = layer_runs(*load("pnsym", trees[0]))
+    other = layer_runs(*load("pnsym_other", trees[1]))
+    for name, (run, calls) in this.items():
+        other_run, other_calls = other[name]
+        row = summary(pairs(cpu_time(run), cpu_time(other_run), args.pairs))
+        entry["layers"][name] = {"calls": [calls, other_calls], **row}
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {"entries": []}
     record["entries"].append(entry)

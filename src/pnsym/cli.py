@@ -61,7 +61,14 @@ def _cmd_reduce(args):
     return 0, comb.format_pair(alpha, sigma), {"alpha": list(alpha), "sigma": list(sigma)}
 
 
+# rank(25205) has 99 997 digits and rank(25206) 100 001, past the print bound
+# main sets; a larger n is rejected before the minutes its rank would take
+MAX_RANK = 25205
+
+
 def _cmd_rank(args):
+    if args.n > MAX_RANK:
+        raise ValueError(f"n must be at most {MAX_RANK}")
     r = core.rank(args.n)
     return 0, str(r), {"n": args.n, "rank": r}
 
@@ -153,7 +160,7 @@ def build_parser():
     p.add_argument("pair", help="e.g. '((3,0,1,2,0);[4,5,1,3,2])'")
 
     p = add("rank", _cmd_rank, "number of basis keys of a given size")
-    p.add_argument("n", type=_nonnegative)
+    p.add_argument("n", type=_nonnegative, help=f"0 to {MAX_RANK}")
 
     p = add("check", _cmd_check, "test an operator identity on one degree")
     p.add_argument("expr", help="e.g. '(p1*p2 - p2*p1)^5'")

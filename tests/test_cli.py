@@ -437,6 +437,7 @@ def argvs(draw):
 @example(["verify", "--model-size", "99999999999", "--max-size", "1"])
 @example(["verify", "--max-size", "99999999999"])
 @example(["rank", "-1"])
+@example(["rank", "99999999999"])
 @example(["check", "p1"])
 @example(["verify", "--family", "nope"])
 @example(["verify", "--model-size", "0"])

@@ -1,5 +1,5 @@
-"""The runtime imports nothing outside the standard library, and the oracle
-stays independent of the code it checks."""
+"""The runtime and the benchmark harness import nothing outside the standard
+library, and the oracle stays independent of the code it checks."""
 
 import ast
 import os
@@ -10,18 +10,33 @@ import sys
 import pnsym
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _absolute_imports(path):
+    """The top-level names of a file's absolute imports; relative imports
+    stay inside its package."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
 def test_every_import_is_stdlib_or_pnsym():
     for path in sorted(pathlib.Path(pnsym.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue  # relative imports stay inside pnsym
-            for name in names:
-                top = name.split(".")[0]
-                assert top in sys.stdlib_module_names or top == "pnsym", (path.name, name)
+        for top in _absolute_imports(path):
+            assert top in sys.stdlib_module_names or top == "pnsym", (path.name, top)
+
+
+def test_every_bench_import_is_stdlib_pnsym_or_a_local_script():
+    # bench/run.py builds its hopf inputs from perfbench's workloads module
+    scripts = sorted((ROOT / "bench").glob("*.py"))
+    assert scripts and (ROOT / "perfbench" / "workloads.py").is_file()
+    local = {path.stem for path in scripts} | {"pnsym", "workloads"}
+    for path in scripts:
+        for top in _absolute_imports(path):
+            assert top in sys.stdlib_module_names or top in local, (path.name, top)
 
 
 def _pnsym_modules(tree):
@@ -52,7 +67,7 @@ def test_oracle_imports_only_combinatorics_from_pnsym():
 
 def test_the_model_reference_reads_no_core():
     # tests/model_reference.py checks core.internal_mul from the free model
-    path = pathlib.Path(__file__).parent / "model_reference.py"
+    path = ROOT / "tests" / "model_reference.py"
     assert _pnsym_modules(ast.parse(path.read_text())) == {"combinatorics", "oracle"}
 
 
