@@ -41,6 +41,9 @@ trees imported in this process (this checkout's as ``pnsym``, the other as
   ``internal_mul`` calls make, in their order, each stream read to its end;
 * ``external_mul``, ``coproduct`` and ``antipode`` -- the ``mul``,
   ``coproduct`` and ``antipode`` calls of the same hopf stream;
+* ``key_coproduct`` -- every ``core._key_coproduct`` call those
+  ``coproduct`` and ``antipode`` calls make, in their order: the splitting
+  kernel both read;
 * ``apply_pas`` -- every ``oracle.apply_pas`` call of the default
   ``composition-expansion`` verify family, in its order, on a fresh model
   for each run, so that no run reads the letter splittings or the word
@@ -52,10 +55,10 @@ trees imported in this process (this checkout's as ``pnsym``, the other as
 
 Each tree's inputs are built from its own modules, once, before any timing.
 They are the same for any two trees that compute the same products, except
-the ``apply_pas`` and ``contingency_tables`` layers': they replay the calls
-each tree makes, so a tree that calls ``apply_pas`` or
-``contingency_tables`` less often replays fewer calls.  A layer row records
-both trees' call counts.
+the ``apply_pas``, ``contingency_tables`` and ``key_coproduct`` layers':
+they replay the calls each tree makes, so a tree that calls one of these
+less often replays fewer calls.  A layer row records both trees' call
+counts.
 """
 
 import argparse
@@ -169,6 +172,11 @@ def layer_runs(checker, comb, core, oracle, verify):
         with recording(comb, "contingency_tables", tables[name]):
             for args in imuls:
                 core.internal_mul(*args)
+    kernel = []
+    with recording(core, "_key_coproduct", kernel):
+        for name in ("coproduct", "antipode"):
+            for args in hopf[name]:
+                getattr(core, name)(*args)
     pas = []
     with recording(oracle, "apply_pas", pas):
         verify.run_family("composition-expansion")
@@ -190,6 +198,7 @@ def layer_runs(checker, comb, core, oracle, verify):
         "external_mul hopf": (replay(core.external_mul, hopf["mul"]), len(hopf["mul"])),
         "coproduct hopf": (replay(core.coproduct, hopf["coproduct"]), len(hopf["coproduct"])),
         "antipode hopf": (replay(core.antipode, hopf["antipode"]), len(hopf["antipode"])),
+        "key_coproduct hopf": (replay(core._key_coproduct, kernel), len(kernel)),
         "apply_pas composition-expansion": (replay_on_fresh_model(oracle, pas), len(pas)),
         **families,
     }

@@ -78,17 +78,21 @@ class _Combination:
 
         One pass drops the zero sums and stores ``c // den`` when ``den``
         divides ``c`` and ``Fraction(c, den)`` otherwise, so ``__init__``'s
-        normalizing pass is skipped.
+        normalizing pass is skipped.  Each distinct sum is divided once and
+        its quotient shared by every key that has it.
         """
         out = cls.__new__(cls)
         if den == 1:
             out.terms = {key: c for key, c in terms.items() if c}
         else:
-            out.terms = {
-                key: c // den if c % den == 0 else Fraction(c, den)
-                for key, c in terms.items()
-                if c
-            }
+            out.terms = {}
+            quotients = {}
+            for key, c in terms.items():
+                if c:
+                    q = quotients.get(c)
+                    if q is None:
+                        q = quotients[c] = c // den if c % den == 0 else Fraction(c, den)
+                    out.terms[key] = q
         return out
 
     def __eq__(self, other):
@@ -430,15 +434,24 @@ def _key_coproduct(alpha, sigma):
     once for all the splittings that share it.  Each partial splitting
     spawns b = 0, ..., x at the next entry x (positive, as in every reduced
     key), in that order.  Each mask is some leg's support, so sigma is
-    standardized on every mask once, up front: a kept position's rank is
-    one more than the number of kept positions below it in value.
+    standardized on every mask once, up front, by inserting its values in
+    increasing order: when value v sits at bit b, each support m of smaller
+    values extends to m | b, where v ranks last and sits after the kept
+    positions below b, and the ranks already there stay.
     """
     n = len(sigma)
-    below = [sum(1 << j for j in range(n) if sigma[j] < v) for v in sigma]
-    ranked = [
-        tuple([(mask & below[i]).bit_count() + 1 for i in range(n) if mask >> i & 1])
-        for mask in range(1 << n)
-    ]
+    ranked = [()] * (1 << n)
+    masks = [0]
+    for i in sorted(range(n), key=sigma.__getitem__):
+        bit = 1 << i
+        low = bit - 1
+        grown = []
+        for mask in masks:
+            prev = ranked[mask]
+            k = (mask & low).bit_count()
+            ranked[mask | bit] = prev[:k] + (len(prev) + 1,) + prev[k:]
+            grown.append(mask | bit)
+        masks += grown
     parts = [((), 0, (), 0)]
     bit = 1
     for x in alpha:

@@ -53,3 +53,15 @@ def test_a_tree_loaded_under_a_second_name_is_a_distinct_copy():
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] == "pnsym_second"]:
             del sys.modules[name]
+
+
+def test_recording_sees_every_splitting_kernel_call_of_the_coproduct_and_antipode():
+    # the key_coproduct layer replays these calls, so both callers must look
+    # the kernel up in the module at each call
+    key = ((1, 2), (2, 1))
+    calls = []
+    with run.recording(core, "_key_coproduct", calls):
+        core.coproduct(core.basis(*key))
+        core.antipode(core.basis(*key))
+    # the antipode's recursion runs the kernel on smaller keys as well
+    assert calls[:2] == [key, key] and len(calls) > 2

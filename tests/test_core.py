@@ -506,6 +506,26 @@ def test_coproduct_matches_reference_in_order_at_degree_6():
             assert list(got.terms.items()) == list(want.terms.items()), key
 
 
+def test_the_splitting_kernel_matches_its_definition_in_order():
+    # each weak beta <= alpha in itertools.product order, both legs reduced
+    def splittings(alpha, sigma):
+        return [
+            (comb.reduce_pair(beta, sigma),
+             comb.reduce_pair(tuple(x - b for x, b in zip(alpha, beta)), sigma))
+            for beta in itertools.product(*(range(x + 1) for x in alpha))
+        ]
+
+    rng = random.Random(20261021)
+    keys = [((), ()), ((3,), (1,))]
+    keys += [((1,) * 6, s) for s in itertools.permutations(range(1, 7))]
+    for n in (7, 8):
+        keys += [((1,) * n, tuple(rng.sample(range(1, n + 1), n))) for _ in range(12)]
+    alpha = (2, 1, 3, 1, 1, 2, 1)
+    keys += [(alpha, tuple(rng.sample(range(1, 8), 7))) for _ in range(6)]
+    for alpha, sigma in keys:
+        assert core._key_coproduct(alpha, sigma) == splittings(alpha, sigma), sigma
+
+
 @given(elements(max_size=4, max_terms=4))
 @settings(max_examples=60, deadline=None)
 def test_coproduct_matches_reference_in_order_on_mixtures(f):
