@@ -37,6 +37,10 @@ trees imported in this process (this checkout's as ``pnsym``, the other as
   that each power is computed from scratch;
 * ``k_value`` -- ``checker.k_value`` on (1,5) and (2,4) with ktable's
   default bound of 12: the powers with the memo their call builds;
+* ``cli fast set`` -- the nine ``ktable`` requests of criterion 2's fast
+  set, each a ``cli.main`` call with its standard output captured, as
+  perfbench's ktable workload makes them: the table's work and the CLI's
+  per-call cost;
 * ``contingency_tables`` -- every (row sums, column sums) call those
   ``internal_mul`` calls make, in their order, each stream read to its end;
 * ``external_mul``, ``coproduct`` and ``antipode`` -- the ``mul``,
@@ -67,6 +71,7 @@ import contextlib
 import gc
 import importlib
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -89,7 +94,7 @@ VERIFY_FAMILIES = (
     "reduction-invariance",
     "wreath-associativity",
 )
-MODULES = ("checker", "combinatorics", "core", "oracle", "verify")
+MODULES = ("checker", "cli", "combinatorics", "core", "oracle", "verify")
 
 
 def load(name, src):
@@ -140,6 +145,15 @@ def drain_tables(comb, inputs):
     return run
 
 
+def cli_requests(cli, argvs):
+    """A run that makes each ``cli.main`` request, its output captured."""
+    def run():
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+    return run
+
+
 def replay_on_fresh_model(oracle, inputs):
     """A run that makes every recorded ``apply_pas`` call on a new model of
     the recorded size, so that each run starts with empty splitting and
@@ -153,11 +167,11 @@ def replay_on_fresh_model(oracle, inputs):
     return run
 
 
-def layer_runs(checker, comb, core, oracle, verify):
+def layer_runs(checker, cli, comb, core, oracle, verify):
     """Each layer timing, by name: its run and how many calls it makes."""
     sys.dont_write_bytecode = True  # leave no cache files under perfbench/
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import Hopf
+    from workloads import KTABLE_EXPECTED, Hopf
 
     stream = Hopf(HOPF_SEED, core.__package__)  # inputs of the timed tree's own classes
     calls = [stream.next_call() for _ in range(HOPF_CALLS)]
@@ -195,6 +209,10 @@ def layer_runs(checker, comb, core, oracle, verify):
             f"k_value {i} {j}": (lambda i=i, j=j: checker.k_value(i, j, 12), 1)
             for i, j in KTABLE[:2]
         },
+        "cli fast set": (
+            cli_requests(cli, [["ktable", str(i), str(j)] for i, j in KTABLE_EXPECTED]),
+            len(KTABLE_EXPECTED),
+        ),
         "external_mul hopf": (replay(core.external_mul, hopf["mul"]), len(hopf["mul"])),
         "coproduct hopf": (replay(core.coproduct, hopf["coproduct"]), len(hopf["coproduct"])),
         "antipode hopf": (replay(core.antipode, hopf["antipode"]), len(hopf["antipode"])),

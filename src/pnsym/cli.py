@@ -8,9 +8,13 @@ term order everywhere), text by default, JSON with ``--json``.
 Exit codes: 0 on success (including a "not found" table search), 1 when an
 identity check or verification run fails, 2 on bad input, reported as one
 ``error:`` line: bad text, or an argument missing, unknown or out of range.
+
+The parser is built on the first ``main`` call and reused by every later one
+in the process.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,7 +46,8 @@ def _positive(text):
 
 
 def _cmd_product(args):
-    f = args.product(core.parse_element(args.left), core.parse_element(args.right))
+    product = getattr(core, args.product)  # per call, so a later patch on core counts
+    f = product(core.parse_element(args.left), core.parse_element(args.right))
     return 0, core.format_element(f), core.element_to_json(f)
 
 
@@ -127,6 +132,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(
         prog="pnsym",
@@ -142,8 +148,8 @@ def build_parser():
         return p
 
     for name, product, help_text in [
-        ("mul", core.external_mul, "concatenation product of two elements"),
-        ("imul", core.internal_mul, "internal product of two elements"),
+        ("mul", "external_mul", "concatenation product of two elements"),
+        ("imul", "internal_mul", "internal product of two elements"),
     ]:
         p = add(name, _cmd_product, help_text)
         p.set_defaults(product=product)
@@ -198,9 +204,10 @@ def build_parser():
 
 
 def main(argv=None):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
         args = build_parser().parse_args(argv)
-        if hasattr(sys, "set_int_max_str_digits"):
+        if limit is not None:
             # long exact results print in full; a finite bound keeps int-to-text,
             # quadratic in the digits, short.  Input keeps the Scanner's bound.
             sys.set_int_max_str_digits(100_000)
@@ -209,6 +216,9 @@ def main(argv=None):
     except ValueError as exc:  # ParseError and argument rejections included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

@@ -6,7 +6,7 @@ import importlib.util
 import pathlib
 import sys
 
-from pnsym import core
+from pnsym import cli, core
 
 RUN = pathlib.Path(__file__).resolve().parents[1] / "bench" / "run.py"
 _spec = importlib.util.spec_from_file_location("bench_run", RUN)
@@ -42,8 +42,11 @@ def test_pairs_take_turns_going_first_after_one_warm_up_each():
 
 def test_a_tree_loaded_under_a_second_name_is_a_distinct_copy():
     try:
-        checker, comb, second, oracle, verify = run.load("pnsym_second", RUN.parents[1] / "src")
+        checker, second_cli, comb, second, oracle, verify = run.load(
+            "pnsym_second", RUN.parents[1] / "src"
+        )
         assert second.__name__ == "pnsym_second.core" and second is not core
+        assert second_cli.__name__ == "pnsym_second.cli"
         assert second.PnsymElement is not core.PnsymElement
         left, right = "F((1,2);[2,1]) - F((3);[1])", "2*F((2,1);[1,2])"
         got = second.internal_mul(second.parse_element(left), second.parse_element(right))
@@ -65,3 +68,8 @@ def test_recording_sees_every_splitting_kernel_call_of_the_coproduct_and_antipod
         core.antipode(core.basis(*key))
     # the antipode's recursion runs the kernel on smaller keys as well
     assert calls[:2] == [key, key] and len(calls) > 2
+
+
+def test_cli_requests_capture_their_output(capsys):
+    run.cli_requests(cli, [["rank", "3"], ["ktable", "1", "3"]])()
+    assert capsys.readouterr().out == ""

@@ -4,17 +4,34 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pnsym import cli, oracle
+from pnsym import cli, core, oracle
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def long_str(n):
+    """``str(n)`` past this process's int-to-text bound, which ``cli.main``
+    raises for its own run only."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # element commands ---------------------------------------------------------------
@@ -120,13 +137,13 @@ def test_rank(capsys):
 
 def test_a_rank_past_the_digit_limit_prints_in_full(capsys):
     # 5736 digits, past the interpreter's default int-to-text bound
-    code, out, err = run(capsys, "rank", "2000")
+    code, text, err = run(capsys, "rank", "2000")
     assert (code, err) == (0, "")
-    assert len(out) == 5737 and out.startswith("9010063036818906658") and out[:-1].isdigit()
+    assert len(text) == 5737 and text.startswith("9010063036818906658") and text[:-1].isdigit()
     code, out, err = run(capsys, "rank", "2000", "--json")
     assert (code, err) == (0, "")
-    value = json.loads(out)
-    assert value["n"] == 2000 and len(str(value["rank"])) == 5736
+    # this process keeps its own bound, so the integers are read as text
+    assert json.loads(out, parse_int=str) == {"n": "2000", "rank": text[:-1]}
 
 
 def test_rank_rejects_negative_input(capsys):
@@ -195,10 +212,12 @@ def test_check_with_a_huge_witness_exits_1(capsys):
     # the witness is 2^20000, 6021 digits
     code, out, err = run(capsys, "check", "(2 ue)^*20000", "--degree", "0")
     assert (code, err) == (1, "")
-    assert out == f"fails: {2 ** 20000}*F(();[])\n"
+    assert out == f"fails: {long_str(2 ** 20000)}*F(();[])\n"
     code, out, err = run(capsys, "check", "(2 ue)^*20000", "--degree", "0", "--json")
     assert (code, err) == (1, "")
-    assert json.loads(out)["witness"] == {"coeff": str(2 ** 20000), "alpha": [], "sigma": []}
+    assert json.loads(out)["witness"] == {
+        "coeff": long_str(2 ** 20000), "alpha": [], "sigma": []
+    }
 
 
 def test_check_expression_error_exits_2(capsys):
@@ -359,6 +378,110 @@ def test_identical_invocations_are_byte_identical(capsys):
     third = run(capsys, "verify", "--model-size", "3", "--max-size", "2")
     fourth = run(capsys, "verify", "--model-size", "3", "--max-size", "2")
     assert third == fourth
+
+
+# one parser per process -------------------------------------------------------------
+
+def in_process(capsys, *argv):
+    """Exit code, stdout and stderr of one ``cli.main`` run in this process,
+    ``--help`` included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_MAIN = "import sys; from pnsym.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def fresh(*argv):
+    """Exit code, stdout and stderr of one run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _MAIN, *argv], env=env, capture_output=True, text=True
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_process_builds_one_parser(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    counts = []
+    for argv in (["rank", "3"], ["rank", "-1"], ["ktable", "1", "3"], ["rank", "3"]):
+        before = len(built)
+        run(capsys, *argv)
+        counts.append(len(built) - before)
+    # the top parser and its nine subparsers, once
+    assert counts == [10, 0, 0, 0]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_successive_runs_are_independent(capsys):
+    twisted = "F((1,1);[2,1])"
+    steps = [
+        # a family filter does not outlive its run: all 17 families run next
+        ["verify", "--model-size", "1", "--max-size", "0", "--family", "degree-projection"],
+        ["verify", "--model-size", "1", "--max-size", "0"],
+        # each product command keeps its own product
+        ["mul", twisted, twisted],
+        ["imul", twisted, twisted],
+        # a rejection, then a good run
+        ["verify", "--model-size", "1", "--family", "no-such-family"],
+        ["rank", "7"],
+        # help exits; the next run parses as usual
+        ["verify", "--help"],
+        ["ktable", "1", "3"],
+    ]
+    got = [in_process(capsys, *argv) for argv in steps]
+    assert got == [fresh(*argv) for argv in steps]
+    assert got[1][1].count("cases, ") == len(cli.verify.FAMILIES) + 1 == 18
+    assert got[2][1] != got[3][1]
+    code, out, err = got[4]
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith("error:")
+    assert got[6][0] == 0 and "--max-size" in got[6][1]
+
+
+def test_imul_calls_the_product_in_core_at_call_time(capsys, monkeypatch):
+    twisted = "F((1,1);[2,1])"
+    want = run(capsys, "imul", twisted, twisted)  # the parser is built by now
+    calls = []
+    internal_mul = core.internal_mul
+
+    def recorded(f, g):
+        calls.append((f, g))
+        return internal_mul(f, g)
+
+    monkeypatch.setattr(core, "internal_mul", recorded)
+    assert run(capsys, "imul", twisted, twisted) == want
+    assert len(calls) == 1
+    run(capsys, "mul", twisted, twisted)
+    assert len(calls) == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text bound")
+def test_main_leaves_the_callers_int_text_limit_as_it_was(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(capsys, "rank", "3")[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert run(capsys, "rank", "-1")[0] == 2
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # exit-code contract under fuzzing ---------------------------------------------------
