@@ -14,7 +14,7 @@ is a proof at that degree, not an approximation.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import combinatorics as comb
@@ -23,56 +23,55 @@ from .combinatorics import ParseError
 
 
 # ---------------------------------------------------------------------------
-# syntax trees.  Subclasses inherit their base's frozen dataclass methods;
-# dataclass equality compares classes exactly, so Sum(a, b) != Difference(a, b).
+# syntax trees
 
 # binding levels, loosest first; the parser reads them
 _LEVEL_SUM, _LEVEL_CONV, _LEVEL_COMP, _LEVEL_POWER = 1, 2, 3, 4
 
 
-@dataclass(frozen=True)
-class Proj:
-    n: int
+class _Node:
+    """Immutable named-tuple fields with class-strict equality: a node equals
+    only a node of its own class, so Sum(a, b) != Difference(a, b) and
+    Proj(1) != (1,)."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class _Named:
-    """An operator written as a bare name."""
+class Proj(_Node, namedtuple("Proj", "n")):
+    pass
 
 
-class Id(_Named):
+class Id(_Node, namedtuple("Id", "")):
     name = "id"
 
 
-class Antipode(_Named):
+class Antipode(_Node, namedtuple("Antipode", "")):
     name = "S"
 
 
-class CounitUnit(_Named):
+class CounitUnit(_Node, namedtuple("CounitUnit", "")):
     name = "ue"
 
 
 _NAMED = {cls.name: cls for cls in (Id, Antipode, CounitUnit)}
 
 
-@dataclass(frozen=True)
-class Basis:
-    alpha: tuple
-    sigma: tuple
+class Basis(_Node, namedtuple("Basis", "alpha sigma")):
+    pass
 
 
-@dataclass(frozen=True)
-class ScalarMul:
-    coeff: Fraction
-    body: object
+class ScalarMul(_Node, namedtuple("ScalarMul", "coeff body")):
+    pass
 
 
-@dataclass(frozen=True)
-class _Binary:
+class _Binary(_Node, namedtuple("_Binary", "left right")):
     """A left-associative infix operator: ``left symbol right``."""
-
-    left: object
-    right: object
 
 
 class Sum(_Binary):
@@ -91,12 +90,9 @@ class Composition(_Binary):
     symbol, level = "o", _LEVEL_COMP
 
 
-@dataclass(frozen=True)
-class _Power:
+class _Power(_Node, namedtuple("_Power", "body exponent")):
     """``body`` raised to a natural ``exponent``: ``body symbol exponent``."""
 
-    body: object
-    exponent: int
     level = _LEVEL_POWER
 
 
@@ -391,10 +387,8 @@ def _expand(e, m):
 # verdicts
 
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    witness: tuple = None  # (coefficient, basis key) of one surviving term
+class Verdict(namedtuple("Verdict", "holds witness", defaults=(None,))):
+    """``witness`` is (coefficient, basis key) of one surviving term."""
 
     def __bool__(self):
         return self.holds

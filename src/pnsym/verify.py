@@ -20,7 +20,7 @@ families beyond the default bounds.
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import combinatorics as comb
@@ -29,13 +29,9 @@ from . import oracle
 from .oracle import FreeTensor, _summed, element
 
 
-@dataclass(frozen=True)
-class FamilyResult:
-    name: str
-    cases: int
-    failures: int
-    examples: tuple = ()
-
+class FamilyResult(
+    namedtuple("FamilyResult", "name cases failures examples", defaults=((),))
+):
     @property
     def ok(self):
         return self.failures == 0

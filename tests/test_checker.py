@@ -122,6 +122,59 @@ def test_parse_bad_basis_escape_reports_offset_position():
     assert exc.value.position > 5
 
 
+# syntax-tree nodes ----------------------------------------------------------------
+
+def test_node_equality_is_class_strict():
+    p, q = Proj(1), Proj(2)
+    assert Sum(p, q) == Sum(Proj(1), Proj(2))
+    assert Sum(p, q) != Difference(p, q)
+    assert not Sum(p, q) == Difference(p, q)
+    assert Convolution(p, q) != Composition(p, q)
+    assert CompPower(p, 2) != ConvPower(p, 2)
+    assert Id() != Antipode() != CounitUnit() != Id()
+    assert Id() == Id()
+    assert Proj(1) != (1,) and (1,) != Proj(1)
+
+
+def test_equal_nodes_hash_equal_and_key_dicts():
+    tree, again = parse("(p1*p2 - p2*p1)^5"), parse("(p1*p2 - p2*p1)^5")
+    assert tree is not again and hash(tree) == hash(again)
+    p, q = Proj(1), Proj(2)
+    table = {tree: "power", Sum(p, q): "+", Difference(p, q): "-", Id(): "id", Antipode(): "S"}
+    assert len(table) == 5
+    assert table[again] == "power"
+    assert table[Difference(Proj(1), Proj(2))] == "-"
+    assert table[Antipode()] == "S" and CounitUnit() not in table
+
+
+def test_node_fields_are_read_only():
+    for node, field in [
+        (Proj(1), "n"),
+        (Sum(Proj(1), Proj(2)), "left"),
+        (ConvPower(Id(), 2), "exponent"),
+        (ScalarMul(Fraction(2), Id()), "coeff"),
+        (Basis((1,), (1,)), "alpha"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+
+
+def test_node_and_verdict_reprs():
+    assert repr(parse("2 id")) == "ScalarMul(coeff=Fraction(2, 1), body=Id())"
+    assert repr(parse("(p1*p2 - p2*p1)^5")) == (
+        "CompPower(body=Difference(left=Convolution(left=Proj(n=1), right=Proj(n=2)),"
+        " right=Convolution(left=Proj(n=2), right=Proj(n=1))), exponent=5)"
+    )
+    assert repr(parse("S o ue + F((1,1);[2,1])^*3")) == (
+        "Sum(left=Composition(left=Antipode(), right=CounitUnit()),"
+        " right=ConvPower(body=Basis(alpha=(1, 1), sigma=(2, 1)), exponent=3))"
+    )
+    assert repr(check_zero_on_degree("p2", 1)) == "Verdict(holds=True, witness=None)"
+    assert repr(check_zero_on_degree("p1", 1)) == (
+        "Verdict(holds=False, witness=(1, ((1,), (1,))))"
+    )
+
+
 ROUND_TRIP_CORPUS = [
     "p0",
     "p1",

@@ -610,6 +610,15 @@ def test_antipode_frozen():
     assert core.antipode(ZERO) == ZERO
 
 
+def test_antipode_is_an_involution():
+    # PNSym is cocommutative, so S o S = id
+    keys = keys_up_to(5)
+    assert len(keys) == 326
+    for key in keys:
+        f = core.basis(*key)
+        assert core.antipode(core.antipode(f)) == f, key
+
+
 def test_antipode_is_convolution_inverse_on_keys():
     for key in keys_up_to(4):
         f = core.basis(*key)

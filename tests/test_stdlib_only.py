@@ -95,3 +95,18 @@ def test_importing_the_package_loads_no_submodule():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout == "[]\n"
+
+
+def test_importing_the_cli_loads_no_source_tooling():
+    # dataclasses pulls in inspect, which loads ast, dis and tokenize; no
+    # command uses them, and they would about double the CLI's import
+    # time.  -S keeps site's .pth imports out.
+    code = (
+        "import sys, pnsym.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pnsym.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n"

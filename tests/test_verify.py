@@ -64,6 +64,10 @@ def test_format_report():
         "distinct-images: 4 cases, 1 failures\n"
         "total: 24 cases, 1 failures"
     )
+    assert [r.ok for r in results] == [True, False]
+    assert repr(results[0]) == (
+        "FamilyResult(name='degree-projection', cases=20, failures=0, examples=())"
+    )
 
 
 def _zero(*args):
