@@ -35,6 +35,9 @@ trees imported in this process (this checkout's as ``pnsym``, the other as
   perfbench's hopf stream at seed 1, and the products that build the
   composition powers of k(1,5), replayed without the bracket's memo, so
   that each power is computed from scratch;
+* ``internal_mul all-ones k24`` -- one call, the sum of the 720 keys
+  F(1^6; s) times the (2,4) bracket (:func:`all_ones_k24`): exactly the
+  rows of k(2,4) whose left key is all ones, each read from its closed form;
 * ``k_value`` -- ``checker.k_value`` on (1,5) and (2,4) with ktable's
   default bound of 12: the powers with the memo their call builds;
 * ``cli fast set`` -- the nine ``ktable`` requests of criterion 2's fast
@@ -72,6 +75,7 @@ import gc
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import platform
@@ -167,6 +171,16 @@ def replay_on_fresh_model(oracle, inputs):
     return run
 
 
+def all_ones_k24(core):
+    """The sum of the 720 keys F(1^6; s) and the (2,4) bracket, F((2,4); 12)
+    - F((4,2); 12): the left and right factors of the rows of k(2,4) with an
+    all-ones left key."""
+    ones = core.PnsymElement(
+        {((1,) * 6, s): 1 for s in itertools.permutations(range(1, 7))}
+    )
+    return ones, core.basis((2, 4), (1, 2)) - core.basis((4, 2), (1, 2))
+
+
 def layer_runs(checker, cli, comb, core, oracle, verify):
     """Each layer timing, by name: its run and how many calls it makes."""
     sys.dont_write_bytecode = True  # leave no cache files under perfbench/
@@ -191,6 +205,7 @@ def layer_runs(checker, cli, comb, core, oracle, verify):
         for name in ("coproduct", "antipode"):
             for args in hopf[name]:
                 getattr(core, name)(*args)
+    ones, bracket = all_ones_k24(core)
     pas = []
     with recording(oracle, "apply_pas", pas):
         verify.run_family("composition-expansion")
@@ -205,6 +220,7 @@ def layer_runs(checker, cli, comb, core, oracle, verify):
         "contingency_tables k15": (drain_tables(comb, tables["k15"]), len(tables["k15"])),
         "internal_mul hopf": (replay(core.internal_mul, hopf["imul"]), len(hopf["imul"])),
         "internal_mul k15": (replay(core.internal_mul, k15_imul), len(k15_imul)),
+        "internal_mul all-ones k24": (lambda: core.internal_mul(ones, bracket), 1),
         **{
             f"k_value {i} {j}": (lambda i=i, j=j: checker.k_value(i, j, 12), 1)
             for i, j in KTABLE[:2]

@@ -11,7 +11,11 @@ coefficient equality.  Three products/coproducts live here:
   each table's twist ranked by one walk of the twist's inverse; when either
   side is all ones, F(1^n; .), a sum over shuffles instead, the classical
   case of Solomon's Mackey formula: each row or each column holds a single
-  1, so the ranks are read off t, or (t, s), with no tables and no walk;
+  1, so the ranks are read off t, or (t, s), with no tables and no walk,
+  and each output permutation is composed by one C-level gather
+  (``operator.itemgetter``): from s, built once per left key, or from the
+  shuffle w; the permutations have n >= 2 entries there, so each gather
+  returns a tuple;
 * :func:`coproduct` -- entrywise decompositions of the composition.
 
 The antipode and the coproduct read one splitting kernel,
@@ -28,6 +32,7 @@ kernel, the right factor's memo :class:`_Rows`.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from . import combinatorics as comb
@@ -215,9 +220,9 @@ class _Rows:
 
     ``shapes`` holds each ``(a, b)`` shape's tables (:func:`_tables`) and,
     for the products with an all-ones factor, the shuffles W(c)
-    (:func:`_shuffles`) under ``("W", c)`` and their inverses under
-    ``("W inverse", c)``; a shape key starts with a tuple, these with a
-    str, so they never collide.
+    (:func:`_shuffles`) under ``("W", c)``, their inverses under
+    ``("W inverse", c)`` and their gathers under ``("W gather", c)``; a
+    shape key starts with a tuple, these with a str, so they never collide.
     """
 
     __slots__ = ("den", "by_degree", "shapes", "index", "keys", "rows")
@@ -263,10 +268,14 @@ class _Rows:
           column of each table holds one 1, so its cell ranks as t_C alone,
           and the row-major columns of the kept cells are a w in W(a); the
           sum does not depend on s, and when a = 1^n too it is every F(1^n; w),
-          since t o S_n = S_n.
+          since t o S_n = S_n.  Otherwise each t o w is one C-level gather of
+          ``(0,) + t``, by w's ``operator.itemgetter`` from the memo.
         * (L) F(1^n;s) o F(b;t) = sum of F(1^n; u^-1 o s) over u in W(c),
           c_r = b_(t^-1(r)).  Each row holds one 1, ranked by (t_C, s_R):
-          the rows sorted by rank read, through s, a u in W(c).
+          the rows sorted by rank read, through s, a u in W(c).  Each
+          v o s, v = u^-1, is one C-level gather of v, by one
+          ``operator.itemgetter`` built from s per left key; b is not all
+          ones, so n >= 2 and the gather returns a tuple.
 
         Any other pair walks its tables.  They depend only on (a, b), so
         each shape is enumerated once per memo (:func:`_tables`).  The
@@ -279,7 +288,7 @@ class _Rows:
         """
         a, s = key
         n = sum(a)
-        inv_s = s_at = None
+        inv_s = gather = None
         index, keys, shapes = self.index, self.keys, self.shapes
         row = {}
         for b, t_at, inv_t, ranked, d in self.by_degree.get(n, ()):
@@ -288,13 +297,15 @@ class _Rows:
                     if len(a) == n:  # W(1^n) = S_n = t o S_n
                         outs = [(b, w) for w in _shuffles(a, shapes)]
                     else:
-                        outs = [(b, tuple(map(t_at.__getitem__, w)))
-                                for w in _shuffles(a, shapes)]
+                        outs = [(b, w_at(t_at))
+                                for w_at in _shuffles(a, shapes, "W gather")]
                 else:  # (L): sum of F(1^n; u^-1 o s) over u in W(b o t^-1)
-                    if s_at is None:
-                        s_at = [x - 1 for x in s]  # v[s_at[r]] = v(s(r + 1))
-                    outs = [(a, tuple(map(v.__getitem__, s_at)))
-                            for v in _shuffles(ranked, shapes, True)]
+                    if gather is None:
+                        # gather(v) = v o s; b is not all ones, so n >= 2 and
+                        # it returns a tuple, not one index's scalar
+                        gather = operator.itemgetter(*[x - 1 for x in s])
+                    outs = [(a, gather(v))
+                            for v in _shuffles(ranked, shapes, "W inverse")]
                 for out in outs:
                     i = index.get(out)
                     if i is None:
@@ -351,31 +362,39 @@ def _tables(a, b, shapes):
     return tables
 
 
-def _shuffles(c, shapes, inverse=False):
+def _shuffles(c, shapes, form="W"):
     """W(c): the permutations of [n], n = sum(c), that increase on each
-    consecutive block of sizes c_1, c_2, ..., or with ``inverse`` their
-    inverses.  There are multinomial(n; c) of them, all of S_n when
-    c = 1^n.  ``shapes`` is the caller's cache (see :class:`_Rows`).
+    consecutive block of sizes c_1, c_2, ...; with ``form`` ``"W inverse"``
+    their inverses, and with ``"W gather"``, for a c that is not all ones,
+    one ``operator.itemgetter(*w)`` per w, which maps ``(0,) + t`` to t o w.
+    There are multinomial(n; c) of them, all of S_n when c = 1^n.
+    ``shapes`` is the caller's cache (see :class:`_Rows`).
 
     The first block takes each set of c_1 values, in lexicographic order,
     and the other blocks follow W(c_2, c_3, ...) on the values left, so
-    each w is one relabeling of a shorter one; an all-ones c is every
-    permutation.
+    each w is one gather, in C, of the block and the values left; an
+    all-ones c is every permutation.  A c that is not all ones has n >= 2,
+    so each gather here returns a tuple.
     """
-    key = ("W inverse" if inverse else "W", c)
+    key = (form, c)
     found = shapes.get(key)
     if found is None:
         n = sum(c)
-        if inverse:
+        if form == "W inverse":
             found = [comb.inverse(w) for w in _shuffles(c, shapes)]
+        elif form == "W gather":
+            found = [operator.itemgetter(*w) for w in _shuffles(c, shapes)]
         elif len(c) == n:
             found = list(itertools.permutations(range(1, n + 1)))
         else:
             x, rest = c[0], _shuffles(c[1:], shapes)
+            # w = (block, then the values left in the order w' of W(c_2, ...))
+            gathers = [operator.itemgetter(*range(x), *[x + v - 1 for v in w])
+                       for w in rest]
             found = []
             for block in itertools.combinations(range(1, n + 1), x):
-                at = [0] + [v for v in range(1, n + 1) if v not in block]  # 1-based
-                found += [block + tuple(map(at.__getitem__, w)) for w in rest]
+                values = block + tuple(v for v in range(1, n + 1) if v not in block)
+                found += [gather(values) for gather in gathers]
         shapes[key] = found
     return found
 

@@ -6,7 +6,7 @@ import importlib.util
 import pathlib
 import sys
 
-from pnsym import cli, core
+from pnsym import checker, cli, core
 
 RUN = pathlib.Path(__file__).resolve().parents[1] / "bench" / "run.py"
 _spec = importlib.util.spec_from_file_location("bench_run", RUN)
@@ -73,3 +73,14 @@ def test_recording_sees_every_splitting_kernel_call_of_the_coproduct_and_antipod
 def test_cli_requests_capture_their_output(capsys):
     run.cli_requests(cli, [["rank", "3"], ["ktable", "1", "3"]])()
     assert capsys.readouterr().out == ""
+
+
+def test_the_all_ones_layer_multiplies_every_all_ones_left_key_of_k24():
+    calls = []
+    with run.recording(core, "internal_mul", calls):
+        checker.k_value(2, 4, 12)
+    ones, bracket = run.all_ones_k24(core)
+    assert all(g == bracket for _, g in calls)
+    left = {key for f, _ in calls for key in f.terms if key[0] == (1,) * 6}
+    assert set(ones.terms) == left and len(left) == 720
+    assert set(ones.terms.values()) == {1}

@@ -432,6 +432,33 @@ def test_products_with_an_all_ones_side_match_the_reference():
         assert _typed(got) == _typed(_reference_internal_mul(f, g)), (key1, key2)
 
 
+def _keys_are_tuples_of_ints(f):
+    # a gather over one index returns a scalar, not a tuple
+    return all(
+        type(alpha) is tuple and type(sigma) is tuple
+        and all(type(x) is int for x in alpha + sigma)
+        for alpha, sigma in f.terms
+    )
+
+
+@pytest.mark.parametrize("right", [False, True], ids=["ones-left", "ones-right"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_small_product_with_an_all_ones_side_matches_the_reference(n, right):
+    # every composition b of n against 1^n, with every pair of permutations:
+    # the smallest gathers of the closed forms, down to n = 2
+    def keys(c):
+        return [(c, p) for p in itertools.permutations(range(1, len(c) + 1))]
+
+    for b in comb.compositions(n):
+        for key_b, key_ones in itertools.product(keys(b), keys((1,) * n)):
+            key1, key2 = (key_b, key_ones) if right else (key_ones, key_b)
+            f = core.PnsymElement({key1: Fraction(2, 3)})
+            g = core.PnsymElement({key2: -3})
+            got = core.internal_mul(f, g)
+            assert _typed(got) == _typed(_reference_internal_mul(f, g)), (key1, key2)
+            assert got and _keys_are_tuples_of_ints(got), (key1, key2)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_each_shuffle_list_is_the_blockwise_increasing_permutations(n):
     for c in comb.compositions(n):
@@ -444,11 +471,14 @@ def test_each_shuffle_list_is_the_blockwise_increasing_permutations(n):
             assert sorted(w) == list(range(1, n + 1))
             for start, end in zip([0] + ends, ends):
                 assert list(w[start:end]) == sorted(w[start:end]), (c, w)
-        # both lists share the one cache, under keys of their own
-        inverses = core._shuffles(c, shapes, True)
+        # the lists share the one cache, under keys of their own
+        inverses = core._shuffles(c, shapes, "W inverse")
         assert inverses == [comb.inverse(w) for w in found]
         assert core._shuffles(c, shapes) is found
-        assert core._shuffles(c, shapes, True) is inverses
+        assert core._shuffles(c, shapes, "W inverse") is inverses
+        if n >= 2:  # each gather maps (0,) + t to t o w, here t the identity
+            gathers = core._shuffles(c, shapes, "W gather")
+            assert [w_at(tuple(range(n + 1))) for w_at in gathers] == found
 
 
 # coproduct, counit, grading ---------------------------------------------------
